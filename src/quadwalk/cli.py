@@ -52,6 +52,17 @@ def _int_list(text):
     return [int(p) for p in text.split(",") if p]
 
 
+def _workers(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be a positive integer, got {text!r}")
+    return n
+
+
 def _barrier(text):
     return "auto" if text == "auto" else int(text)
 
@@ -230,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=tuple(_CONV), default="nonpositive")
     p.add_argument("--barrier", type=_barrier, default="auto",
                    help="truncation barrier (integer or 'auto')")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("QUADWALK_THREADS", "1")))
+    # a string default goes through _workers too, so a bad
+    # QUADWALK_THREADS is a usage error like a bad --threads
+    p.add_argument("--threads", type=_workers,
+                   default=os.environ.get("QUADWALK_THREADS", "1"))
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
@@ -249,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ladders", help="ladder height distribution")
     sp.add_argument("--dir", choices=("down", "up"), required=True)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-u", type=int, default=None, help="unused; see renewal")
     sp.add_argument("--max-steps", type=int, default=None)
     sp.add_argument("--no-exact-tail", action="store_true",
                     help="pure absorbing iteration, no tail completion")
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted after the subcommand too; SUPPRESS keeps the global value
     # when they are absent here
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--threads", type=_workers, default=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("verify", help="compare DP truth to predictions")

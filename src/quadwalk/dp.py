@@ -1,17 +1,18 @@
 """Exact finite-n dynamics of the killed walk by sparse measure propagation.
 
 The alive sub-probability measure is stored as a dense array over its
-(shrink-wrapped) bounding box and convolved with the step law one step at a
-time; mass landing outside the survival region is removed and accounted.
-For quadrant runs with positive horizontal drift a truncation barrier L may
-be enabled: mass crossing x1 > L migrates to a one-dimensional vertical
-measure that keeps the vertical kill but drops the horizontal one.  The
-resulting error is bounded by the leaked mass times the Chernoff bound
-exp(-gamma (L+1)) on the walk ever returning, gamma the positive root of
-E[exp(-gamma X1)] = 1.
+(shrink-wrapped) bounding box and advanced one step at a time by the
+package's single propagation kernel, ``steps._kill_step``; mass landing
+outside the survival region is removed and accounted.  For quadrant runs
+with positive horizontal drift a truncation barrier L may be enabled: mass
+crossing x1 > L migrates to a one-dimensional vertical measure that keeps
+the vertical kill but drops the horizontal one.  The resulting error is
+bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1)) on
+the walk ever returning, gamma the positive root of E[exp(-gamma X1)] = 1.
 
-Counting mode (exact integers) uses a separate dict-based propagation with
-arbitrary precision and no barrier.
+The half-plane survival runs the same kernel on the vertical marginal, and
+exact path counts run it on an object array of Python integers (no prune,
+no barrier).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.optimize import brentq
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import StepDistribution
+from .steps import PRUNE_DEFAULT, StepDistribution, _kill_step, _trim
 
 __all__ = [
     "Region",
@@ -42,8 +43,6 @@ __all__ = [
     "chernoff_gamma",
     "auto_barrier",
 ]
-
-PRUNE_DEFAULT = 1e-300
 
 
 class Region(enum.Enum):
@@ -97,14 +96,12 @@ class QuadrantMeasure:
 
     @classmethod
     def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None,
-                   gamma: float = math.inf, value: float = 1.0):
+                   gamma: float = math.inf):
         x1, x2 = int(x[0]), int(x[1])
         t = spec.threshold
         if spec.kills_x1 and x1 < t or spec.kills_x2 and x2 < t:
             raise InputError(f"start {x} is not inside the survival region")
-        w = np.zeros((1, 1))
-        w[0, 0] = value
-        return cls(n=0, weights=w, lo1=x1, lo2=x2, spec=spec,
+        return cls(n=0, weights=np.ones((1, 1)), lo1=x1, lo2=x2, spec=spec,
                    barrier=barrier, gamma=gamma)
 
     # -- observables ------------------------------------------------------
@@ -222,98 +219,46 @@ def auto_barrier(sd: StepDistribution, x, target: float = 1e-12) -> int:
     return max(L, sd.max_abs_dx(), int(x[0]) + sd.max_abs_dx())
 
 
-def _sorted_atoms(sd: StepDistribution):
-    return [(int(dx), int(dy), float(w)) for dx, dy, w in sd.atoms]
-
-
-def step_measure(m: QuadrantMeasure, sd: StepDistribution,
-                 spec: ExitSpec | None = None,
-                 prune: float = PRUNE_DEFAULT) -> QuadrantMeasure:
+def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     """One convolution-and-kill step; returns a fresh measure."""
-    spec = m.spec if spec is None else spec
-    atoms = _sorted_atoms(sd)
     if m.barrier is not None and m.barrier < sd.max_abs_dx():
         raise BarrierError(
             f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx()}"
         )
-    dxs = [a[0] for a in atoms]
-    dys = [a[1] for a in atoms]
-    dx_lo, dx_hi = min(dxs), max(dxs)
-    dy_lo, dy_hi = min(dys), max(dys)
-    H1, H2 = m.weights.shape
-    new = np.zeros((H1 + dx_hi - dx_lo, H2 + dy_hi - dy_lo))
-    for dx, dy, w in atoms:
-        r, c = dx - dx_lo, dy - dy_lo
-        new[r:r + H1, c:c + H2] += w * m.weights
-    lo1 = m.lo1 + dx_lo
-    lo2 = m.lo2 + dy_lo
+    t = m.spec.threshold
+    kill = (t if m.spec.kills_x1 else None, t if m.spec.kills_x2 else None)
+    new, (lo1, lo2), cuts, drop = _kill_step(m.weights, (m.lo1, m.lo2),
+                                             sd.atoms, kill)
     killed = m.killed_mass
-    t = spec.threshold
-    if spec.kills_x2 and lo2 < t:
-        cut = t - lo2
-        killed += float(new[:, :cut].sum())
-        new = new[:, cut:]
-        lo2 = t
-    if spec.kills_x1 and lo1 < t:
-        cut = t - lo1
-        killed += float(new[:cut, :].sum())
-        new = new[cut:, :]
-        lo1 = t
+    for cut in cuts:
+        killed += float(cut.sum())
+    dropped = m.dropped_mass + float(drop)
 
     # evolve any previously leaked mass (vertical kill only)
     leaked, leak_lo = m.leaked, m.leak_lo
     leaked_total = m.leaked_total
     if leaked.size:
-        vker_items = sorted(sd.vertical_pmf().items())
-        vk = np.zeros(vker_items[-1][0] - vker_items[0][0] + 1)
-        for v, p in vker_items:
-            vk[v - vker_items[0][0]] = p
-        conv = np.convolve(leaked, vk)
-        clo = leak_lo + vker_items[0][0]
-        if spec.kills_x2 and clo < t:
-            cut = t - clo
-            killed += float(conv[:cut].sum())
-            conv = conv[cut:]
-            clo = t
-        leaked, leak_lo = conv, clo
+        leaked, (leak_lo,), (cut,), drop = _kill_step(
+            leaked, (leak_lo,), sorted(sd.vertical_pmf().items()), kill[1:])
+        killed += float(cut.sum())
+        dropped += float(drop)
 
     # migrate mass beyond the barrier into the vertical-only measure
     if m.barrier is not None and lo1 + new.shape[0] - 1 > m.barrier:
-        keep = m.barrier - lo1 + 1
+        keep = max(m.barrier - lo1 + 1, 0)
         spill = new[keep:, :].sum(axis=0)
         amt = float(spill.sum())
         if amt > 0:
             leaked_total += amt
-            if leaked.size == 0:
-                leaked, leak_lo = spill.copy(), lo2
-            else:
-                lo = min(leak_lo, lo2)
-                hi = max(leak_lo + len(leaked), lo2 + len(spill))
-                out = np.zeros(hi - lo)
-                out[leak_lo - lo:leak_lo - lo + len(leaked)] += leaked
-                out[lo2 - lo:lo2 - lo + len(spill)] += spill
-                leaked, leak_lo = out, lo
+            lo = min(leak_lo, lo2)
+            out = np.zeros(max(leak_lo + len(leaked), lo2 + len(spill)) - lo)
+            out[leak_lo - lo:leak_lo - lo + len(leaked)] += leaked
+            out[lo2 - lo:lo2 - lo + len(spill)] += spill
+            leaked, (leak_lo,), drop = _trim(out, (lo,), PRUNE_DEFAULT)
+            dropped += float(drop)
         new = new[:keep, :]
-
-    # shrink-wrap: drop all-below-prune edge rows/columns
-    dropped = m.dropped_mass
-    if new.size:
-        rows = np.where(new.max(axis=1) > prune)[0]
-        cols = np.where(new.max(axis=0) > prune)[0]
-        if len(rows) == 0 or len(cols) == 0:
-            dropped += float(new.sum())
-            new = np.zeros((1, 1))
-        else:
-            r0, r1 = rows[0], rows[-1] + 1
-            c0, c1 = cols[0], cols[-1] + 1
-            if (r0, r1, c0, c1) != (0, new.shape[0], 0, new.shape[1]):
-                dropped += float(new[:r0, :].sum()) + float(new[r1:, :].sum())
-                dropped += float(new[r0:r1, :c0].sum()) + float(new[r0:r1, c1:].sum())
-                new = new[r0:r1, c0:c1].copy()
-                lo1 += r0
-                lo2 += c0
     return QuadrantMeasure(
-        n=m.n + 1, weights=new, lo1=lo1, lo2=lo2, spec=spec,
+        n=m.n + 1, weights=new, lo1=lo1, lo2=lo2, spec=m.spec,
         barrier=m.barrier, leaked=leaked, leak_lo=leak_lo,
         killed_mass=killed, dropped_mass=dropped,
         leaked_total=leaked_total, gamma=m.gamma,
@@ -322,8 +267,7 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution,
 
 def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
            snapshots=(), barrier: int | str | None = None,
-           barrier_target: float = 1e-12,
-           prune: float = PRUNE_DEFAULT) -> dict[int, QuadrantMeasure]:
+           barrier_target: float = 1e-12) -> dict[int, QuadrantMeasure]:
     """Propagate n_max steps, returning the measures at the snapshot times.
 
     ``barrier='auto'`` sizes the barrier so the error bound is below
@@ -346,7 +290,7 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     if 0 in want:
         out[0] = m
     for _ in range(n_max):
-        m = step_measure(m, sd, spec, prune=prune)
+        m = step_measure(m, sd)
         if m.n in want:
             out[m.n] = m
     return out
@@ -369,46 +313,20 @@ def local_prob(sd: StepDistribution, x, y, n: int, spec: ExitSpec) -> float:
     return m.local(y)
 
 
-class VerticalDP:
-    """One-dimensional vertical walk killed at the boundary."""
-
-    def __init__(self, sd: StepDistribution, x2: int, conv: BoundaryConvention):
-        items = sorted(sd.vertical_pmf().items())
-        self.smin = items[0][0]
-        self.kernel = np.zeros(items[-1][0] - self.smin + 1)
-        for v, p in items:
-            self.kernel[v - self.smin] = p
-        self.t = 1 if conv is BoundaryConvention.KILL_ON_NONPOSITIVE else 0
-        if x2 < self.t:
-            raise InputError(f"start height {x2} is outside the region")
-        self.alive = np.array([1.0])
-        self.lo = x2
-        self.n = 0
-
-    def step(self):
-        conv = np.convolve(self.alive, self.kernel)
-        lo = self.lo + self.smin
-        if lo < self.t:
-            cut = self.t - lo
-            conv = conv[cut:]
-            lo = self.t
-        self.alive, self.lo = conv, lo
-        self.n += 1
-
-    def survival(self) -> float:
-        return float(self.alive.sum())
-
-
 def half_plane_survival(sd: StepDistribution, x2: int, n: int,
                         conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
                         ) -> float:
     """P(tau_x > n): exact 1-D dynamic program, no barrier needed."""
     if n < 0:
         raise InputError("n must be >= 0")
-    dp = VerticalDP(sd, x2, conv)
+    kill = (ExitSpec(conv=conv).threshold,)
+    if x2 < kill[0]:
+        raise InputError(f"start height {x2} is outside the region")
+    atoms = sorted(sd.vertical_pmf().items())
+    alive, lo = np.ones(1), (x2,)
     for _ in range(n):
-        dp.step()
-    return dp.survival()
+        alive, lo, _, _ = _kill_step(alive, lo, atoms, kill)
+    return float(alive.sum())
 
 
 def half_plane_local(sd: StepDistribution, x, y, n: int,
@@ -421,28 +339,31 @@ def half_plane_local(sd: StepDistribution, x, y, n: int,
 
 
 def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):
-    """Exact integer path counts by state after n steps (quadrant kill)."""
+    """Exact integer path counts after n steps (quadrant kill).
+
+    Returns (counts, (lo1, lo2)): an object array of Python ints over the
+    bounding box of the reachable states, ``counts[i, j]`` at (lo1+i, lo2+j).
+    """
     if n < 0:
         raise InputError("n must be >= 0")
-    steps = [(int(dx), int(dy)) for dx, dy, _ in sd.atoms]
-    cur = {(int(x[0]), int(x[1])): 1}
-    if min(cur)[0] < threshold or min(cur, key=lambda z: z[1])[1] < threshold:
+    lo = (int(x[0]), int(x[1]))
+    if min(lo) < threshold:
         raise InputError(f"start {x} is not inside the survival region")
+    atoms = [(dx, dy, 1) for dx, dy, _ in sd.atoms]
+    counts = np.ones((1, 1), dtype=object)
     for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), c in cur.items():
-            for dx, dy in steps:
-                na, nb = a + dx, b + dy
-                if na >= threshold and nb >= threshold:
-                    key = (na, nb)
-                    nxt[key] = nxt.get(key, 0) + c
-        cur = nxt
-    return cur
+        counts, lo, _, _ = _kill_step(counts, lo, atoms, (threshold, threshold),
+                                      prune=0)
+    return counts, lo
 
 
 def count_paths(sd: StepDistribution, x, y, n: int, threshold: int = 1) -> int:
     """Exact number of n-step paths x -> y staying inside the quadrant."""
-    return _count_run(sd, x, n, threshold).get((int(y[0]), int(y[1])), 0)
+    counts, (lo1, lo2) = _count_run(sd, x, n, threshold)
+    i, j = int(y[0]) - lo1, int(y[1]) - lo2
+    if 0 <= i < counts.shape[0] and 0 <= j < counts.shape[1]:
+        return counts[i, j]
+    return 0
 
 
 def count_line(sd: StepDistribution, x, n: int, y2: int = 1,
@@ -451,5 +372,6 @@ def count_line(sd: StepDistribution, x, n: int, y2: int = 1,
 
     M_0(x) = 1 when x already sits on the line (empty path), else 0.
     """
-    cur = _count_run(sd, x, n, threshold)
-    return sum(c for (a, b), c in cur.items() if b == y2)
+    counts, (_, lo2) = _count_run(sd, x, n, threshold)
+    j = y2 - lo2
+    return counts[:, j].sum() if 0 <= j < counts.shape[1] else 0

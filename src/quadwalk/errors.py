@@ -65,6 +65,3 @@ class NumericError(QuadwalkError):
 class ToleranceNotReachedError(NumericError):
     pass
 
-
-class HorizonTooSmallError(NumericError):
-    pass

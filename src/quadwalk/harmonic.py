@@ -5,9 +5,11 @@ where V is the renewal function paired with the walk's kill rule.  Each
 evaluation is one dynamic-programming run with V-weighted terminal
 aggregation; the bracket below the monotone upper value comes from a
 Chernoff bound on late horizontal exits combined with the linear growth of
-V.  The same machinery with the Doob-transformed kernel (transition weights
-V(y2)/V(x2)) yields W(x) = V(x2) * Phat(sigma_x > n), algebraically equal
-at every finite n and used as a cross-check.
+V.  The Doob-transformed walk (transition weights V(y2)/V(x2)) yields
+W(x) = V(x2) * Phat(sigma_x > n), algebraically equal at every finite n and
+used as a cross-check.  Both run on the package's one propagation kernel,
+``steps._kill_step``: the series through ``dp.step_measure``, the Doob walk
+directly with V as the kernel's per-height weight.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from .dp import ExitSpec, QuadrantMeasure, chernoff_gamma, step_measure
 from .errors import InputError
-from .steps import StepDistribution
+from .steps import StepDistribution, _kill_step
 
 __all__ = [
     "HarmonicEstimate",
@@ -127,13 +129,12 @@ def w_series(sd: StepDistribution, x, spec: ExitSpec, v_eff: np.ndarray,
     best = None
     for n_target in checkpoints:
         while m.n < n_target:
-            m = step_measure(m, sd, spec)
+            m = step_measure(m, sd)
         upper = _v_weighted_mass(m, v_eff)
         history.append((m.n, upper))
         width = tail_bound.tail(x, m.n)
         # barrier bias: leaked mass never horizontally killed again
         if m.barrier is not None and m.leaked_total > 0:
-            _, col = m.vertical_marginal()
             vmax_reach = x[1] + m.n * tail_bound.max_dy
             width += (m.leaked_total * math.exp(-m.gamma * (m.barrier + 1))
                       * tail_bound.v_slope * vmax_reach)
@@ -159,10 +160,10 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
                    v_eff: np.ndarray, n_max: int) -> float:
     """V_eff(x2) * Phat(sigma_x > n_max) under the V-transformed kernel.
 
-    The kernel Phat(x, y) = V_eff(y2)/V_eff(x2) P(step) absorbs the
-    vertical kill (V_eff vanishes at killed heights); only the horizontal
-    kill removes mass.  Algebraically equal to the w_series expectation at
-    the same n.
+    The kernel Phat(x, y) = V_eff(y2)/V_eff(x2) P(step) is killed on
+    leaving the quadrant; where V_eff vanishes at killed heights only the
+    horizontal kill removes mass.  Algebraically equal to the w_series
+    expectation at the same n.
     """
     x1, x2 = int(x[0]), int(x[1])
     t = spec.threshold
@@ -170,41 +171,9 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
         raise InputError(f"start {x} is outside the survival region")
     if v_eff[x2] <= 0:
         raise InputError("V_eff vanishes at the starting height")
-    atoms = [(int(dx), int(dy), float(w)) for dx, dy, w in sd.atoms]
-    dx_lo = min(a[0] for a in atoms)
-    dx_hi = max(a[0] for a in atoms)
-    dy_lo = min(a[1] for a in atoms)
-    dy_hi = max(a[1] for a in atoms)
-    A = np.array([[1.0]])
-    lo1, lo2 = x1, x2
-    for n in range(n_max):
-        H1, H2 = A.shape
-        hi2 = lo2 + H2 - 1
-        need = hi2 + dy_hi + 1
-        if need > len(v_eff):
-            raise InputError(f"V table too short: need {need}, have {len(v_eff)}")
-        src_v = v_eff[lo2:hi2 + 1]
-        new = np.zeros((H1 + dx_hi - dx_lo, H2 + dy_hi - dy_lo))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_src = np.where(src_v > 0, 1.0 / np.where(src_v > 0, src_v, 1.0), 0.0)
-        for dx, dy, w in atoms:
-            tgt_v = v_eff[lo2 + dy:hi2 + dy + 1]
-            ratio = w * tgt_v * inv_src
-            new[dx - dx_lo:dx - dx_lo + H1, dy - dy_lo:dy - dy_lo + H2] += (
-                A * ratio[None, :]
-            )
-        nlo1, nlo2 = lo1 + dx_lo, lo2 + dy_lo
-        # horizontal kill (the sigma event)
-        if nlo1 < t:
-            cut = t - nlo1
-            new = new[cut:, :]
-            nlo1 = t
-        # heights below threshold carry V_eff = 0 already; drop the dead edge
-        if nlo2 < t:
-            cut = t - nlo2
-            new = new[:, cut:]
-            nlo2 = t
-        A, lo1, lo2 = new, nlo1, nlo2
+    A, lo = np.ones((1, 1)), (x1, x2)
+    for _ in range(n_max):
+        A, lo, _, _ = _kill_step(A, lo, sd.atoms, (t, t), weight=v_eff)
     return float(v_eff[x2] * A.sum())
 
 

@@ -3,12 +3,14 @@
 The weak descending ladder height is the nonnegative overshoot -S2 at the
 first time the vertical walk is <= 0; the strict ascending ladder height is
 S2 at the first time it is > 0.  Both are computed by evolving the absorbed
-sub-probability measure of the vertical walk.  Because the absorption of a
-driftless walk is heavy tailed in time (the surviving mass decays like
-1/sqrt(N)), the iteration alone cannot certify tolerances like 1e-10; the
-remaining alive mass is therefore redistributed exactly using the bounded
-solutions of the step recurrence (characteristic roots inside the unit
-disk), which give the crossing law from any height in closed form.
+sub-probability measure of the vertical walk with the package's propagation
+kernel, ``steps._kill_step``, whose killed slices are the overshoots.
+Because the absorption of a driftless walk is heavy tailed in time (the
+surviving mass decays like 1/sqrt(N)), the iteration alone cannot certify
+tolerances like 1e-10; the remaining alive mass is therefore redistributed
+exactly using the bounded solutions of the step recurrence (characteristic
+roots inside the unit disk), which give the crossing law from any height in
+closed form.
 
 The renewal series V built from the weak ladder law satisfies the one-step
 harmonicity identity under exactly one kill rule; ``resolve_convention``
@@ -20,20 +22,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConventionError,
     DegenerateSupportError,
-    HorizonTooSmallError,
     InputError,
     NonzeroDriftError,
     ToleranceNotReachedError,
     UnsupportedLatticeError,
 )
-from .steps import StepDistribution
+from .steps import StepDistribution, _kill_step
 
 __all__ = [
     "BoundaryConvention",
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# Absorbing steps before the alive remainder is completed exactly.
+COMPLETION_AFTER = 512
 
 
 class BoundaryConvention(enum.Enum):
@@ -87,21 +90,6 @@ class RenewalTable:
         if u > self.U:
             raise InputError(f"renewal table of size {self.U} queried at {u}")
         return float(self.values[u])
-
-    def to_csv(self, fh) -> None:
-        fh.write("u,value\n")
-        for u in range(self.U + 1):
-            fh.write(f"{u},{self.values[u]!r}\n")
-
-
-def _vertical_pmf(sd: StepDistribution) -> dict[int, float]:
-    return sd.vertical_pmf()
-
-
-def _check_zero_drift(pmf: dict[int, float], tol: float = 1e-10) -> None:
-    mean = math.fsum(v * p for v, p in pmf.items())
-    if abs(mean) > tol:
-        raise NonzeroDriftError(f"vertical drift {mean:.3e} is not zero")
 
 
 class CrossingSolver:
@@ -172,83 +160,49 @@ class CrossingSolver:
         X = (powers @ self.coeffs).real
         return np.clip(X, 0.0, 1.0)
 
-    def mean_entry_position(self, heights: np.ndarray) -> np.ndarray:
-        """E[position at first entry into <=0 | start h] = -sum_j j X_h(j)."""
-        X = self.overshoot_matrix(heights)
-        j = np.arange(self.d)
-        return -(X @ j)
-
 
 def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
-                   max_steps: int, exact_tail: bool,
-                   completion_after: int = 512):
+                   max_steps: int, exact_tail: bool, kind: str = "",
+                   start: int = 0) -> LadderDist:
     """Absorbing iteration for the descending ladder of the walk with law ``pmf``.
 
     Weak (strict=False): absorb on position <= 0, overshoot -pos >= 0.
     Strict: absorb on position < 0, overshoot -pos >= 1.
-    Returns (overshoot pmf dict, truncation_error, steps_used).
+    Returns the overshoot law of the walk started at height ``start``.
     """
-    _check_zero_drift(pmf)
+    mean = math.fsum(v * p for v, p in pmf.items())
+    if abs(mean) > 1e-10:
+        raise NonzeroDriftError(f"vertical drift {mean:.3e} is not zero")
     vals = sorted(pmf)
-    smin, smax = vals[0], vals[-1]
-    if smin >= 0:
+    if vals[0] >= 0:
         raise DegenerateSupportError("walk has no down steps: ladder undefined")
-    if smax <= 0:
+    if vals[-1] <= 0:
         raise DegenerateSupportError("walk has no up steps: absorption trivial")
-    kernel = np.zeros(smax - smin + 1)
-    for s, p in pmf.items():
-        kernel[s - smin] = p
-    d = -smin
-    lo = 0 if strict else 1          # lowest alive height
-    thr = -1 if strict else 0        # absorb on position <= thr
-    absorbed = np.zeros(d + 1)       # index = overshoot -pos
-    # start at height 0: a single step may absorb immediately
-    alive = np.array([1.0])
-    alive_lo = 0
+    atoms = sorted(pmf.items())
+    kill = 0 if strict else 1         # lowest alive height
+    absorbed = np.zeros(1 - vals[0])  # index = overshoot -pos
+    # a start at height 0 may be absorbed by the first step
+    alive, lo = np.ones(1), (start,)
     dropped = 0.0
     steps = 0
     while True:
         steps += 1
-        if len(alive) == 0:
-            alive = np.zeros(1)
-            break
-        conv = np.convolve(alive, kernel)
-        conv_lo = alive_lo + smin
-        # split absorbed (position <= thr) from alive (position >= lo)
-        n_abs = thr - conv_lo + 1
-        if n_abs > 0:
-            chunk = conv[:n_abs]
-            for i, m in enumerate(chunk):
-                if m:
-                    absorbed[-(conv_lo + i)] += m
-            conv = conv[n_abs:]
-            conv_lo = thr + 1
-        if conv_lo < lo:  # only when thr+1 < lo, i.e. never; kept for clarity
-            conv = conv[lo - conv_lo:]
-            conv_lo = lo
-        # trim the far tail of hard-underflowed heights
-        if len(conv) and conv[-1] <= 1e-300:
-            nz = np.where(conv > 1e-300)[0]
-            if len(nz) == 0:
-                dropped += float(conv.sum())
-                conv = conv[:0]
-            elif nz[-1] + 1 < len(conv):
-                dropped += float(conv[nz[-1] + 1:].sum())
-                conv = conv[:nz[-1] + 1]
-        alive, alive_lo = conv, conv_lo
+        alive, lo, (cut,), drop = _kill_step(alive, lo, atoms, (kill,))
+        # the cut ends at position kill - 1, i.e. overshoot 1 - kill
+        absorbed[1 - kill:1 - kill + len(cut)] += cut[::-1]
+        dropped += float(drop)
         rest = float(alive.sum())
         if rest <= tol:
             break
-        if exact_tail and steps >= completion_after:
+        if exact_tail and steps >= COMPLETION_AFTER:
             solver = CrossingSolver(pmf)
-            heights = np.arange(alive_lo, alive_lo + len(alive))
+            heights = np.arange(lo[0], lo[0] + len(alive))
             if strict:
                 X = solver.overshoot_matrix(heights + 1)
                 absorbed[1:solver.d + 1] += alive @ X
             else:
                 X = solver.overshoot_matrix(np.maximum(heights, 1))
                 absorbed[:solver.d] += alive @ X
-            alive = np.zeros(1)
             break
         if steps >= max_steps:
             partial = {j: float(m) for j, m in enumerate(absorbed) if m > 0}
@@ -258,47 +212,36 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
                 residual=rest + dropped,
                 partial=partial,
             )
-    total = math.fsum(absorbed)
-    trunc = max(0.0, 1.0 - total)
     out = {j: float(m) for j, m in enumerate(absorbed) if m > 0.0}
-    return out, trunc, steps
-
-
-def _make_ladder(pmf_steps, strict, tol, max_steps, exact_tail, kind,
-                 completion_after=512) -> LadderDist:
-    pmf, trunc, _ = _ladder_engine(pmf_steps, strict, tol, max_steps,
-                                   exact_tail, completion_after)
-    mean = math.fsum(j * p for j, p in pmf.items())
-    return LadderDist(pmf=pmf, truncation_error=trunc, mean=mean, kind=kind)
+    return LadderDist(pmf=out, truncation_error=max(0.0, 1.0 - math.fsum(absorbed)),
+                      mean=math.fsum(j * p for j, p in out.items()), kind=kind)
 
 
 def descending_ladder(sd: StepDistribution,
                       conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE,
                       tol: float = 1e-10, max_steps: int = 10 ** 6,
-                      exact_tail: bool = True,
-                      completion_after: int = 512) -> LadderDist:
+                      exact_tail: bool = True) -> LadderDist:
     """Descending ladder height law of the vertical component.
 
     KILL_ON_NONPOSITIVE gives the weak ladder (-S2 at the first time
     S2 <= 0, overshoot 0 allowed); KILL_ON_NEGATIVE the strict one.
     """
-    pmf = _vertical_pmf(sd)
     strict = conv is BoundaryConvention.KILL_ON_NEGATIVE
     kind = "strict-descending" if strict else "weak-descending"
-    return _make_ladder(pmf, strict, tol, max_steps, exact_tail, kind,
-                        completion_after)
+    return _ladder_engine(sd.vertical_pmf(), strict, tol, max_steps,
+                          exact_tail, kind)
 
 
 def ascending_ladder(sd: StepDistribution, tol: float = 1e-10,
-                     max_steps: int = 10 ** 6, exact_tail: bool = True,
-                     completion_after: int = 512) -> LadderDist:
+                     max_steps: int = 10 ** 6,
+                     exact_tail: bool = True) -> LadderDist:
     """Strict ascending ladder height law: S2 at the first time S2 > 0.
 
     Computed as the strict descending ladder of the reflected walk.
     """
-    pmf = {-v: p for v, p in _vertical_pmf(sd).items()}
-    return _make_ladder(pmf, True, tol, max_steps, exact_tail,
-                        "strict-ascending", completion_after)
+    pmf = {-v: p for v, p in sd.vertical_pmf().items()}
+    return _ladder_engine(pmf, True, tol, max_steps, exact_tail,
+                          "strict-ascending")
 
 
 def _conditioned_positive(ld: LadderDist):
@@ -357,60 +300,19 @@ def kappa(ld: LadderDist) -> float:
 
 
 def harmonic_defect_V(sd: StepDistribution, x2: int,
-                      conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE,
-                      horizon: int = 4096, band: float = 1e-9,
-                      exact_tail: bool = True) -> float:
+                      conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
+                      ) -> float:
     """x2 - E[x2 + S2(tau)] for the vertical walk absorbed at the boundary.
 
-    This is the standard alternative harmonic function of the killed walk;
-    the alive mass left at the horizon is completed exactly through the
-    crossing solver (or reported against ``band`` when exact_tail=False).
+    This is the standard alternative harmonic function of the killed walk:
+    x2 plus the mean overshoot of the ladder iteration started at x2, its
+    alive remainder completed exactly through the crossing solver.
     """
-    pmf = _vertical_pmf(sd)
-    _check_zero_drift(pmf)
     if x2 < 1:
         raise InputError("x2 must be >= 1")
-    vals = sorted(pmf)
-    smin, smax = vals[0], vals[-1]
-    kernel = np.zeros(smax - smin + 1)
-    for s, p in pmf.items():
-        kernel[s - smin] = p
     strict = conv is BoundaryConvention.KILL_ON_NEGATIVE
-    thr = -1 if strict else 0
-    alive = np.array([1.0])
-    alive_lo = x2
-    e_abs = 0.0  # running E[absorbed position; absorbed]
-    n_iter = min(horizon, 512) if exact_tail else horizon
-    for _ in range(n_iter):
-        conv_arr = np.convolve(alive, kernel)
-        conv_lo = alive_lo + smin
-        n_abs = thr - conv_lo + 1
-        if n_abs > 0:
-            chunk = conv_arr[:n_abs]
-            pos = conv_lo + np.arange(len(chunk))
-            e_abs += float(chunk @ pos)
-            conv_arr = conv_arr[n_abs:]
-            conv_lo = thr + 1
-        alive, alive_lo = conv_arr, conv_lo
-        if alive.sum() <= 1e-16:
-            break
-    rest = float(alive.sum())
-    if rest > 0 and exact_tail:
-        solver = CrossingSolver(pmf)
-        heights = np.arange(alive_lo, alive_lo + len(alive))
-        if strict:
-            # entry into <= -1 from h equals shifted entry into <=0 from h+1
-            mean_pos = solver.mean_entry_position(heights + 1) - 1.0
-        else:
-            mean_pos = solver.mean_entry_position(heights)
-        e_abs += float(alive @ mean_pos)
-        rest = 0.0
-    if rest * (abs(x2) + horizon * max(abs(smin), abs(smax))) > band:
-        raise HorizonTooSmallError(
-            f"horizon {horizon} leaves alive mass {rest:.3e}",
-            residual=rest,
-        )
-    return x2 - e_abs
+    return x2 + _ladder_engine(sd.vertical_pmf(), strict, 0.0, COMPLETION_AFTER,
+                               True, start=x2).mean
 
 
 def harmonicity_residual(vert_pmf: dict[int, float], table: np.ndarray,
@@ -430,7 +332,6 @@ class ConventionReport:
     v_shift: int          # shift pairing V with a kill-on-nonpositive walk
     max_residual_selected: float
     max_residual_rejected: float
-    rejected: BoundaryConvention = field(default=BoundaryConvention.KILL_ON_NONPOSITIVE)
 
 
 def resolve_convention(sd: StepDistribution, xmax: int = 50,
@@ -443,7 +344,7 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
     ConventionError is raised.  ``v_shift`` translates the winner into the
     shift making u -> V(u - v_shift) harmonic for a walk killed on <= 0.
     """
-    pmf = _vertical_pmf(sd)
+    pmf = sd.vertical_pmf()
     ld = descending_ladder(sd)
     maxdy = max(abs(v) for v in pmf)
     table = renewal_V(ld, xmax + maxdy + 1).values
@@ -467,5 +368,4 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
         v_shift=shift,
         max_residual_selected=residuals[selected],
         max_residual_rejected=residuals[rejected],
-        rejected=rejected,
     )

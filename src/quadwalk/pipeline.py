@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ladders
-from .asymptotics import AsymptoticConstants, GaussParams, int_q
+from .asymptotics import AsymptoticConstants, GaussParams
 from .dp import ExitSpec, Region, auto_barrier
 from .errors import InputError, NonzeroDriftError
 from .harmonic import HarmonicEstimate, TailBound, make_tail_bound, w_hat_survival, w_series
@@ -26,6 +26,7 @@ from .steps import LatticeStructure, Moments, StepDistribution, compute_moments,
 __all__ = ["ConditionedWalkPipeline"]
 
 DRIFT_TOL = 1e-10
+XMAX_CONVENTION = 50  # heights 1..50 checked for V- and H-harmonicity
 
 
 @dataclass
@@ -50,8 +51,8 @@ class ConditionedWalkPipeline:
 
     @classmethod
     def build(cls, sd: StepDistribution,
-              conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE,
-              xmax_convention: int = 50) -> "ConditionedWalkPipeline":
+              conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
+              ) -> "ConditionedWalkPipeline":
         moments = compute_moments(sd)
         if abs(moments.mu2) > DRIFT_TOL:
             raise NonzeroDriftError(
@@ -63,7 +64,7 @@ class ConditionedWalkPipeline:
         gauss = GaussParams.from_moments(moments)
         chi_minus = ladders.descending_ladder(sd)
         chi_plus = ladders.ascending_ladder(sd)
-        conv_report = ladders.resolve_convention(sd, xmax=xmax_convention)
+        conv_report = ladders.resolve_convention(sd, xmax=XMAX_CONVENTION)
         kap = ladders.kappa(chi_minus)
         kap_p = ladders.kappa(chi_plus)
         consts = AsymptoticConstants(
@@ -76,7 +77,7 @@ class ConditionedWalkPipeline:
             consts=consts, spec=ExitSpec(region=Region.QUADRANT, conv=conv),
             h_residual=0.0,
         )
-        pipe.h_residual = pipe._check_h_harmonicity(xmax_convention)
+        pipe.h_residual = pipe._check_h_harmonicity(XMAX_CONVENTION)
         if pipe.h_residual > 1e-9:
             raise ladders.ConventionError(
                 f"H fails reversed-walk harmonicity: residual {pipe.h_residual:.3e}"
@@ -86,8 +87,11 @@ class ConditionedWalkPipeline:
     # -- renewal tables ----------------------------------------------------
 
     def _ensure_V(self, U: int) -> RenewalTable:
+        # grow by doubling: V(u) does not depend on the table length, so the
+        # table is rebuilt O(log U) times rather than for every new height
         if self._V is None or self._V.U < U:
-            self._V = ladders.renewal_V(self.chi_minus, max(U, 64))
+            old = 0 if self._V is None else self._V.U
+            self._V = ladders.renewal_V(self.chi_minus, max(U, 64, 2 * old))
         return self._V
 
     def _ensure_H(self, U: int) -> RenewalTable:
@@ -112,11 +116,9 @@ class ConditionedWalkPipeline:
 
     def v_eff_vector(self, max_height: int) -> np.ndarray:
         shift = self.conv_report.v_shift
-        table = self._ensure_V(max_height)
+        values = self._ensure_V(max_height).values
         out = np.zeros(max_height + 1)
-        for u in range(max_height + 1):
-            if u - shift >= 0:
-                out[u] = table(u - shift)
+        out[shift:] = values[:max_height + 1 - shift]
         return out
 
     def _check_h_harmonicity(self, xmax: int) -> float:
@@ -139,7 +141,7 @@ class ConditionedWalkPipeline:
     def w(self, x, tol: float = 1e-10, n_max: int = 4096,
           barrier_target: float = 1e-16) -> HarmonicEstimate:
         x = (int(x[0]), int(x[1]))
-        key = (x, tol)
+        key = (x, tol, n_max, barrier_target)
         if key in self._w_memo:
             return self._w_memo[key]
         if self._tail_bound is None:
@@ -208,8 +210,3 @@ class ConditionedWalkPipeline:
             return (y1, y2)
         y2 = self._nearest_residue(target[1], r2, self.lattice.d2, t)
         return (y1, y2)
-
-    # -- predictions (thin wrappers bound to this pipeline) -------------------
-
-    def int_q_value(self) -> float:
-        return int_q(self.gauss, self.consts)

@@ -5,10 +5,15 @@ normalizes and validates step sets, computes exact first and second moments,
 decomposes each coordinate into its arithmetic sublattice a + d*Z, and
 implements exponential tilting together with a Newton solver that finds the
 tilt achieving a prescribed drift.
+
+It also holds ``_kill_step``, the one propagation kernel of the package:
+a single step of a walk killed on leaving a box, on a dense 1-D or 2-D
+measure of floats or of exact Python integers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,9 +24,13 @@ from .errors import (
     DegenerateSupportError,
     EmptyStepSetError,
     InfeasibleDriftError,
+    InputError,
     NegativeWeightError,
     ZeroTotalWeightError,
 )
+
+# Edge entries at or below this mass are trimmed from a propagated measure.
+PRUNE_DEFAULT = 1e-300
 
 __all__ = [
     "StepDistribution",
@@ -35,7 +44,6 @@ __all__ = [
     "lattice_decompose",
     "in_lattice_support",
     "load_steps",
-    "dump_steps",
     "singular_steps",
 ]
 
@@ -50,10 +58,6 @@ class StepDistribution:
 
     atoms: tuple[tuple[int, int, float], ...]
     total_weight: float
-    normalized: bool = True
-
-    def probabilities(self):
-        return [(dx, dy, w) for dx, dy, w in self.atoms]
 
     def vertical_pmf(self) -> dict[int, float]:
         """Marginal law of dy."""
@@ -147,7 +151,7 @@ def validate_steps(raw) -> StepDistribution:
     )
     if not atoms:
         raise ZeroTotalWeightError("total weight is zero")
-    return StepDistribution(atoms=atoms, total_weight=total, normalized=True)
+    return StepDistribution(atoms=atoms, total_weight=total)
 
 
 def singular_steps() -> StepDistribution:
@@ -182,56 +186,69 @@ def tilt(sd: StepDistribution, h) -> tuple[StepDistribution, TiltParams]:
 
 
 def _grad_hess_logphi(sd: StepDistribution, h):
-    """Gradient (= tilted mean) and Hessian (= tilted covariance) of log phi."""
+    """log phi, its gradient (= tilted mean) and Hessian (= tilted covariance)."""
     h = np.asarray(h, dtype=float)
     dx = np.array([a[0] for a in sd.atoms], dtype=float)
     dy = np.array([a[1] for a in sd.atoms], dtype=float)
     w = np.array([a[2] for a in sd.atoms], dtype=float)
     logits = h[0] * dx + h[1] * dy + np.log(w)
-    logits -= logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
+    top = logits.max()
+    p = np.exp(logits - top)
+    total = p.sum()
+    p /= total
     mx = float(p @ dx)
     my = float(p @ dy)
     cxx = float(p @ (dx - mx) ** 2)
     cyy = float(p @ (dy - my) ** 2)
     cxy = float(p @ ((dx - mx) * (dy - my)))
-    return np.array([mx, my]), np.array([[cxx, cxy], [cxy, cyy]])
+    return (top + math.log(total), np.array([mx, my]),
+            np.array([[cxx, cxy], [cxy, cyy]]))
 
 
 def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
                 max_iter: int = 100) -> TiltParams:
     """Find h with tilted drift equal to ``target_mu`` by damped Newton.
 
-    Newton iterates on grad log phi(h) = target; divergence of |h| beyond
-    1e3 is reported as an infeasible target (on or outside the hull).
+    Newton iterates on grad log phi(h) = target with steps of length <= 1,
+    halved until the convex objective log phi(h) - h.target decreases by the
+    Armijo fraction; divergence of |h| beyond 1e3, or no descent left above
+    ``tol``, is reported as an infeasible target (on or outside the hull).
+    A support on one line is rejected up front, exactly from the integer
+    increments, since its tilt Hessian is singular.
     """
+    x0, y0 = sd.atoms[0][:2]
+    diffs = [(dx - x0, dy - y0) for dx, dy, _ in sd.atoms[1:]]
+    if not any(u1 * v2 - u2 * v1
+               for (u1, u2), (v1, v2) in itertools.combinations(diffs, 2)):
+        raise DegenerateSupportError("step support lies on one line")
     target = np.asarray(target_mu, dtype=float)
     h = np.zeros(2)
-    grad, hess = _grad_hess_logphi(sd, h)
+    logphi, grad, hess = _grad_hess_logphi(sd, h)
     res = float(np.linalg.norm(grad - target))
     for _ in range(max_iter):
         if res <= tol:
             break
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if not np.isfinite(det) or abs(det) < 1e-300:
-            raise DegenerateSupportError(
-                "singular tilt Hessian: step support is degenerate"
-            )
         try:
             delta = np.linalg.solve(hess, target - grad)
         except np.linalg.LinAlgError as exc:
             raise DegenerateSupportError(str(exc)) from exc
-        # damped step: halve until the residual does not increase
+        # a full Newton step from far away can land where the tilted law
+        # sits on one atom and the Hessian is numerically singular
+        delta /= max(1.0, float(np.linalg.norm(delta)))
+        f = logphi - h @ target
+        slope = float((grad - target) @ delta)
         step = 1.0
         for _ in range(60):
             h_new = h + step * delta
-            grad_new, hess_new = _grad_hess_logphi(sd, h_new)
+            logphi_new, grad_new, hess_new = _grad_hess_logphi(sd, h_new)
             res_new = float(np.linalg.norm(grad_new - target))
-            if res_new <= res or res_new <= tol:
+            if (logphi_new - h_new @ target <= f + 1e-4 * step * slope
+                    or res_new <= tol):
                 break
             step *= 0.5
-        h, grad, hess, res = h_new, grad_new, hess_new, res_new
+        else:
+            break  # no descent left at this precision
+        h, logphi, grad, hess, res = h_new, logphi_new, grad_new, hess_new, res_new
         if np.linalg.norm(h) > 1e3:
             raise InfeasibleDriftError(
                 f"target drift {tuple(target)} infeasible: |h| diverged"
@@ -273,7 +290,90 @@ def load_steps(path) -> StepDistribution:
     return validate_steps([(s["dx"], s["dy"], s["w"]) for s in obj["steps"]])
 
 
-def dump_steps(sd: StepDistribution, path) -> None:
-    obj = {"steps": [{"dx": dx, "dy": dy, "w": w} for dx, dy, w in sd.atoms]}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+def _trim(a: np.ndarray, lo: tuple, prune):
+    """Shrink-wrap a 1-D or 2-D ``a`` to the box of its entries above ``prune``.
+
+    Returns (array, lo, dropped), ``dropped`` the sum of the cut edges.  An
+    array with nothing above ``prune`` collapses to one zero cell at ``lo``.
+    """
+    live = a > prune
+    if not live.any():
+        return np.zeros((1,) * a.ndim, dtype=a.dtype), lo, a.sum()
+    spans = []
+    for ax in range(a.ndim):
+        prof = live.any(axis=1 - ax) if a.ndim == 2 else live
+        spans.append((int(prof.argmax()), len(prof) - int(prof[::-1].argmax())))
+    if all(sp == (0, n) for sp, n in zip(spans, a.shape)):
+        return a, lo, 0
+    del live, prof
+    dropped = 0
+    for ax, (s0, s1) in enumerate(spans):
+        head = (slice(None),) * ax
+        if s0:
+            dropped += a[head + (slice(None, s0),)].sum()
+        if s1 < a.shape[ax]:
+            dropped += a[head + (slice(s1, None),)].sum()
+        a = a[head + (slice(s0, s1),)]
+    lo = tuple(c + s0 for c, (s0, _) in zip(lo, spans))
+    return np.ascontiguousarray(a), lo, dropped
+
+
+def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, weight=None,
+               prune=PRUNE_DEFAULT):
+    """One step of a walk killed on leaving a box: convolve, kill, shrink-wrap.
+
+    ``a`` is a 1-D or 2-D measure with ``a[i]`` at coordinate ``lo + i`` (one
+    offset per axis) of any dtype that adds: float64, or object holding
+    Python ints for exact path counts.  ``atoms`` are (shift, ..., p) tuples
+    with one shift per axis; ``kill[ax]`` is the lowest surviving coordinate
+    on an axis, or None.  ``weight``, indexed by the last coordinate, turns
+    the step into the Doob transform p * weight[y] / weight[x].
+
+    Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed below
+    ``kill[ax]``, its last entry at kill[ax] - 1 (the last axis is cut
+    first); ``dropped`` is the mass of the trimmed edges, each <= ``prune``.
+    An empty measure (no cells, or the one zero cell ``_trim`` leaves) is
+    returned as it is.
+    """
+    nd = a.ndim
+    if a.size <= 1 and not a.any():
+        return a, lo, [a[:0]] * nd, 0
+    shifts = list(zip(*atoms))[:nd]
+    smin = [min(c) for c in shifts]
+    width = [max(c) - s0 + 1 for c, s0 in zip(shifts, smin)]
+    if weight is not None:
+        top = lo[-1] + a.shape[-1] + max(shifts[-1])
+        if top > len(weight):
+            raise InputError(f"V table too short: need {top}, have {len(weight)}")
+        src = weight[lo[-1]:lo[-1] + a.shape[-1]]
+        a = a * np.divide(1.0, src, out=np.zeros(len(src)), where=src > 0)
+    if nd == 1 and a.dtype != object:
+        # one np.convolve call costs far less than per-atom adds on the
+        # short line measures of ladders, leaked mass and half-planes
+        dense = np.zeros(width[0])
+        for s, p in atoms:
+            dense[s - smin[0]] += p
+        new = np.convolve(a, dense)
+    else:
+        new = np.zeros([n + w - 1 for n, w in zip(a.shape, width)], dtype=a.dtype)
+        tmp = None  # scratch for p * a, freed before _trim copies the box
+        for at in atoms:
+            box = tuple(slice(s - s0, s - s0 + n) for s, s0, n in zip(at, smin, a.shape))
+            if at[nd] == 1:
+                new[box] += a
+            else:
+                tmp = np.multiply(a, at[nd], out=tmp)
+                new[box] += tmp
+        del tmp
+    lo = [c + s0 for c, s0 in zip(lo, smin)]
+    cuts = [None] * nd
+    for ax in reversed(range(nd)):
+        k = 0 if kill[ax] is None else max(kill[ax] - lo[ax], 0)
+        head = (slice(None),) * ax
+        cuts[ax] = new[head + (slice(None, k),)]
+        new = new[head + (slice(k, None),)]
+        lo[ax] += k
+    if weight is not None:
+        new *= weight[lo[-1]:lo[-1] + new.shape[-1]]
+    new, lo, dropped = _trim(new, tuple(lo), prune)
+    return new, lo, cuts, dropped

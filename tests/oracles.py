@@ -37,6 +37,24 @@ def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1):
     return surv, endpoint_prob, endpoint_count
 
 
+def count_states(steps, x, n, threshold=1):
+    """Exact path counts by endpoint after n steps in the quadrant, as a dict.
+
+    steps: list of (dx, dy).  Each state's count is pushed along every step
+    in turn, with Python integers, so the counts never lose precision.
+    """
+    cur = {tuple(x): 1}
+    for _ in range(n):
+        nxt = {}
+        for (a, b), c in cur.items():
+            for dx, dy in steps:
+                na, nb = a + dx, b + dy
+                if na >= threshold and nb >= threshold:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + c
+        cur = nxt
+    return cur
+
+
 def direct_renewal_series(pmf, U, kmax=200, strict_lt=False, indicator_gt=False):
     """Literal renewal series from the definition, truncated at kmax terms.
 

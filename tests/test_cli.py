@@ -168,6 +168,30 @@ def test_usage_error_exit_2(capsys, steps_file):
     assert code == 2
 
 
+def test_threads_env_not_an_integer_exit_2(capsys, monkeypatch, tilted_file):
+    monkeypatch.setenv("QUADWALK_THREADS", "abc")
+    code, _, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                           "--x", "1,1", "--n", "5", "--reps", "100")
+    assert code == 2
+    assert "worker count" in err
+
+
+def test_threads_zero_exit_2(capsys, tilted_file):
+    code, _, err = run_cli(capsys, "--steps", tilted_file, "--threads", "0",
+                           "mc", "survive", "--x", "1,1", "--n", "5",
+                           "--reps", "100")
+    assert code == 2
+    assert "worker count" in err
+
+
+def test_threads_negative_exit_2(capsys, tilted_file):
+    code, _, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                           "--x", "1,1", "--n", "5", "--reps", "100",
+                           "--threads", "-2")
+    assert code == 2
+    assert "worker count" in err
+
+
 def test_numeric_failure_exit_4_with_partial(capsys, tilted_file):
     code, out, err = run_cli(capsys, "--steps", tilted_file, "ladders",
                              "--dir", "down", "--no-exact-tail",

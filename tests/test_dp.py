@@ -8,6 +8,7 @@ import pytest
 
 from quadwalk import singular_steps, validate_steps
 from quadwalk.dp import (
+    PRUNE_DEFAULT,
     ExitSpec,
     QuadrantMeasure,
     Region,
@@ -135,7 +136,7 @@ class TestKnownValues:
         # counts at n multiply by 3 per step before kill
         from quadwalk.dp import _count_run
         for n in range(1, 7):
-            alive = sum(_count_run(sd, (3, 3), n).values())
+            alive = _count_run(sd, (3, 3), n)[0].sum()
             surv, _, counts = enumerate_paths(sd.atoms, (3, 3), n)
             assert alive == sum(counts.values())
             assert alive <= 3 ** n
@@ -190,6 +191,14 @@ class TestBookkeeping:
         total = m.survival() + m.killed_mass + m.dropped_mass
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_leaked_measure_is_trimmed(self):
+        sd = tilted_singular()
+        m = run_dp(sd, (1, 1), QUAD, 5000, barrier="auto")[5000]
+        assert m.leaked_total > 0
+        assert m.leaked[0] > PRUNE_DEFAULT and m.leaked[-1] > PRUNE_DEFAULT
+        total = m.alive_mass() + m.leaked.sum() + m.killed_mass + m.dropped_mass
+        assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_window_masses_sum_to_survival(self):
         sd = tilted_singular()
         n = 256
@@ -232,14 +241,8 @@ class TestEnvelope:
         x2 = 3
         ld = descending_ladder(sd)
         v_eff = renewal_V(ld, 10)(x2 - 1)
-        from quadwalk.dp import VerticalDP
-        dp = VerticalDP(sd, x2, BoundaryConvention.KILL_ON_NONPOSITIVE)
-        ratios = {}
-        checkpoints = {10, 100, 1000, 10000}
-        for n in range(1, 10001):
-            dp.step()
-            if n in checkpoints:
-                ratios[n] = math.sqrt(n) * dp.survival() / v_eff
+        ratios = {n: math.sqrt(n) * half_plane_survival(sd, x2, n) / v_eff
+                  for n in (10, 100, 1000, 10000)}
         vals = [ratios[n] for n in sorted(ratios)]
         assert max(vals) / min(vals) < 1.2
         kappa_ref = 0.5 * math.sqrt(2 / math.pi)

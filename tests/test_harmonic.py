@@ -12,10 +12,13 @@ from quadwalk.harmonic import export_w_grid, make_tail_bound, w_check_harmonic, 
 from quadwalk.pipeline import ConditionedWalkPipeline
 
 
+def pipe_steps():
+    return validate_steps([((1, -1), 2.0), ((1, 1), 1.0), ((-1, 1), 1.0)])
+
+
 @pytest.fixture(scope="module")
 def pipe():
-    sd = validate_steps([((1, -1), 2.0), ((1, 1), 1.0), ((-1, 1), 1.0)])
-    return ConditionedWalkPipeline.build(sd)
+    return ConditionedWalkPipeline.build(pipe_steps())
 
 
 class TestSeries:
@@ -50,6 +53,19 @@ class TestSeries:
         est = w_series(sd, (1, 5), spec, v, tb, n_max=4)
         assert est.upper == 0.0
         assert est.value == 0.0
+
+    def test_memo_keyed_on_every_argument(self):
+        fresh = ConditionedWalkPipeline.build(pipe_steps()).w((3, 3))
+        used = ConditionedWalkPipeline.build(pipe_steps())
+        short = used.w((3, 3), n_max=16)
+        assert short.n_used == 16
+        again = used.w((3, 3))
+        assert again.n_used == fresh.n_used
+        assert again.value == fresh.value
+
+    def test_v_eff_vector_matches_pointwise(self, pipe):
+        vec = pipe.v_eff_vector(300)
+        assert list(vec) == [pipe.v_eff(u) for u in range(301)]
 
     def test_positivity_on_grid(self, pipe):
         for x1 in range(1, 8):
@@ -88,6 +104,16 @@ class TestHatRepresentation:
             hist = dict(pipe.w(x).history)
             assert n in hist
             assert pipe.w_hat(x, n) == pytest.approx(hist[n], rel=1e-9)
+
+    def test_matches_series_when_down_jump_passes_zero(self):
+        # a -2 jump from height 1 lands below the quadrant; the Doob weight
+        # must only be read at surviving heights
+        sd = validate_steps([((2, -2), 1.0), ((1, 1), 1.0), ((-1, 1), 1.0),
+                             ((1, 0), 1.0)])
+        wpipe = ConditionedWalkPipeline.build(sd)
+        hist = dict(wpipe.w((1, 1)).history)
+        assert 64 in hist
+        assert wpipe.w_hat((1, 1), 64) == pytest.approx(hist[64], rel=1e-9)
 
     def test_zero_steps_gives_v(self, pipe):
         assert pipe.w_hat((4, 7), 0) == pytest.approx(pipe.v_eff(7), abs=1e-12)

@@ -113,6 +113,13 @@ class TestRenewal:
         oracle = direct_renewal_series({0: 0.5, 1: 0.5}, 6, kmax=200)
         assert list(table.values) == pytest.approx(oracle, abs=1e-9)
 
+    def test_V_prefix_independent_of_table_length(self):
+        # the pipeline grows its table by doubling and relies on this
+        for sd in (fair_pm1(), up_two()):
+            ld = descending_ladder(sd)
+            short = renewal_V(ld, 100).values
+            assert list(renewal_V(ld, 777).values[:101]) == list(short)
+
     def test_V_negative_argument(self):
         ld = descending_ladder(fair_pm1())
         assert renewal_V(ld, 4)(-1) == 0.0

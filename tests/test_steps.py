@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadwalk import (
@@ -242,6 +242,9 @@ def test_tilted_mean_is_logphi_gradient(sd, h):
 
 
 @given(step_sets(), tilt_vectors())
+@example(validate_steps([((0, 1), 0.75), ((1, 1), 0.25)]), (1.0, 0.0))
+@example(validate_steps([((-3, -3), 0.95), ((-2, 3), 0.045), ((2, 1), 0.005)]),
+         (1.0, 0.9))
 @settings(max_examples=40, deadline=None)
 def test_solve_drift_roundtrip(sd, h):
     # any tilted mean is an interior feasible target
