@@ -300,7 +300,8 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
             for u in windows:
                 tid = f"integral(u={u[0]}:{u[1]})"
                 rows.append(_row(tid, n, m.window_mass(u, mu),
-                                 predict_integral(n, u, pipe.consts.kappa, W, gp)))
+                                 predict_integral(n, u, pipe.consts.kappa, W, gp),
+                                 m.error_bound()))
         return rows
 
     if theorem_id in ("llt", "llt-half"):
@@ -329,7 +330,7 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
                 pred = predict_llt(yy, n, pipe.lattice.d1, pipe.lattice.d2,
                                    pipe.consts.kappa, W, mu, gp)
             rows.append(_row(f"{theorem_id}(y={yy[0]}:{yy[1]})", n,
-                             measured, pred))
+                             measured, pred, m.error_bound()))
         return rows
 
     if theorem_id == "boundary-llt":
@@ -346,7 +347,7 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
                                         pipe.lattice.d2, pipe.H(y2), W,
                                         mu[0], gp, pipe.consts)
             rows.append(_row(f"boundary-llt(y={yy[0]}:{yy[1]})", n,
-                             m.local(yy), pred))
+                             m.local(yy), pred, m.error_bound()))
         return rows
 
     if theorem_id == "line":

@@ -1,18 +1,22 @@
 """Exact finite-n dynamics of the killed walk by sparse measure propagation.
 
-The alive sub-probability measure is stored as a dense array over its
-(shrink-wrapped) bounding box and advanced one step at a time by the
-package's single propagation kernel, ``steps._kill_step``; mass landing
-outside the survival region is removed and accounted.  For quadrant runs
-with positive horizontal drift a truncation barrier L may be enabled: mass
-crossing x1 > L migrates to a one-dimensional vertical measure that keeps
-the vertical kill but drops the horizontal one.  The resulting error is
+The alive sub-probability measure is stored over its (shrink-wrapped)
+bounding box on the reachable lattice coset: after n steps coordinate i
+lies in x_i + a_i n + d_i Z, so with strides (d1, d2) from the step law
+cell (i, j) stands for (lo1 + d1 i, lo2 + d2 j) and the d1*d2 - 1 other
+residue classes, exact zeros, are never stored.  It is advanced one step
+at a time by the package's single propagation kernel, ``steps._kill_step``;
+mass landing outside the survival region is removed and accounted.  For
+quadrant runs with positive horizontal drift a truncation barrier L may be
+enabled: mass crossing x1 > L migrates to a one-dimensional vertical
+measure that keeps the vertical kill but drops the horizontal one.  The
+leaked measure lies on the same vertical coset.  The resulting error is
 bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1)) on
 the walk ever returning, gamma the positive root of E[exp(-gamma X1)] = 1.
 
 The half-plane survival runs the same kernel on the vertical marginal, and
 exact path counts run it on an object array of Python integers (no prune,
-no barrier).
+no barrier), each on the same coset storage.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy.optimize import brentq
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import PRUNE_DEFAULT, StepDistribution, _kill_step, _trim
+from .steps import PRUNE_DEFAULT, StepDistribution, _kill_step, _stride, _trim
 
 __all__ = [
     "Region",
@@ -72,20 +76,43 @@ class ExitSpec:
         return self.region in (Region.QUADRANT, Region.UPPER_HALF_PLANE)
 
 
+def _coset_index(y: int, lo: int, d: int, size: int) -> int | None:
+    """Index of coordinate y in cells at lo + d*i, None when off the cells."""
+    i, r = divmod(y - lo, d)
+    return i if r == 0 and 0 <= i < size else None
+
+
+def _add_lines(lo_a: int, a: np.ndarray, lo_b: int, b: np.ndarray, d: int):
+    """Sum of two 1-D measures on one coset of stride d: (lo, array)."""
+    if not b.size:
+        return lo_a, a
+    if not a.size:
+        return lo_b, b
+    lo = min(lo_a, lo_b)
+    out = np.zeros((max(lo_a + d * len(a), lo_b + d * len(b)) - lo) // d)
+    for c, arr in ((lo_a, a), (lo_b, b)):
+        k = (c - lo) // d
+        out[k:k + len(arr)] += arr
+    return lo, out
+
+
 @dataclass
 class QuadrantMeasure:
     """Alive measure after n steps, with leak and kill bookkeeping.
 
-    ``weights[i, j]`` is the mass at (lo1 + i, lo2 + j).  ``leaked`` is the
-    vertical distribution of mass that crossed the barrier, indexed from
-    ``leak_lo``.  Total mass alive + leaked + killed + dropped is conserved.
+    ``cells[i, j]`` is the mass at (lo1 + d1 i, lo2 + d2 j), (d1, d2) =
+    ``stride``; no other point carries mass.  ``weights`` expands it to the
+    dense unit-stride box.  ``leaked`` is the vertical distribution of mass
+    that crossed the barrier, ``leaked[k]`` at height leak_lo + d2 k.
+    Total mass alive + leaked + killed + dropped is conserved.
     """
 
     n: int
-    weights: np.ndarray
+    cells: np.ndarray
     lo1: int
     lo2: int
     spec: ExitSpec
+    stride: tuple[int, int] = (1, 1)
     barrier: int | None = None
     leaked: np.ndarray = field(default_factory=lambda: np.zeros(0))
     leak_lo: int = 0
@@ -97,20 +124,33 @@ class QuadrantMeasure:
     @classmethod
     def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None,
                    gamma: float = math.inf):
+        """Unit mass at x; its first ``step_measure`` sets the law's stride."""
         x1, x2 = int(x[0]), int(x[1])
         t = spec.threshold
         if spec.kills_x1 and x1 < t or spec.kills_x2 and x2 < t:
             raise InputError(f"start {x} is not inside the survival region")
-        return cls(n=0, weights=np.ones((1, 1)), lo1=x1, lo2=x2, spec=spec,
+        return cls(n=0, cells=np.ones((1, 1)), lo1=x1, lo2=x2, spec=spec,
                    barrier=barrier, gamma=gamma)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Dense box: ``weights[i, j]`` is the mass at (lo1 + i, lo2 + j).
+
+        Built anew on each access, d1*d2 times the size of ``cells``.
+        """
+        shape = [(n - 1) * d + 1 if n else 0
+                 for n, d in zip(self.cells.shape, self.stride)]
+        out = np.zeros(shape, dtype=self.cells.dtype)
+        out[::self.stride[0], ::self.stride[1]] = self.cells
+        return out
 
     # -- observables ------------------------------------------------------
 
     def alive_mass(self) -> float:
-        return float(self.weights.sum())
+        return float(self.cells.sum())
 
     def survival(self) -> float:
-        return float(self.weights.sum() + self.leaked.sum())
+        return float(self.cells.sum() + self.leaked.sum())
 
     def error_bound(self) -> float:
         """Bound on the barrier-induced survival error plus pruned mass."""
@@ -127,66 +167,49 @@ class QuadrantMeasure:
 
     def local(self, y) -> float:
         self._require_exact_joint()
-        i = int(y[0]) - self.lo1
-        j = int(y[1]) - self.lo2
-        if 0 <= i < self.weights.shape[0] and 0 <= j < self.weights.shape[1]:
-            return float(self.weights[i, j])
-        return 0.0
+        (d1, d2), (n1, n2) = self.stride, self.cells.shape
+        i = _coset_index(int(y[0]), self.lo1, d1, n1)
+        j = _coset_index(int(y[1]), self.lo2, d2, n2)
+        if i is None or j is None:
+            return 0.0
+        return float(self.cells[i, j])
 
-    def vertical_marginal(self) -> tuple[int, np.ndarray]:
-        """(lowest x2, array of masses) including any leaked component."""
-        col = self.weights.sum(axis=0)
-        lo = self.lo2
-        if self.leaked.size:
-            lo = min(lo, self.leak_lo)
-            hi = max(self.lo2 + len(col), self.leak_lo + len(self.leaked))
-            out = np.zeros(hi - lo)
-            out[self.lo2 - lo:self.lo2 - lo + len(col)] += col
-            out[self.leak_lo - lo:self.leak_lo - lo + len(self.leaked)] += self.leaked
-            return lo, out
-        return lo, col
+    def vertical_marginal(self) -> tuple[int, int, np.ndarray]:
+        """(lo, d2, col): mass at x2 = lo + d2 k is col[k], leaked mass included."""
+        d = self.stride[1]
+        lo, col = _add_lines(self.lo2, self.cells.sum(axis=0),
+                             self.leak_lo, self.leaked, d)
+        return lo, d, col
 
     def line_sum(self, y2: int) -> float:
         """P(x2 + S2(n) = y2, alive) -- valid also under a barrier."""
-        lo, col = self.vertical_marginal()
-        j = y2 - lo
-        if 0 <= j < len(col):
-            return float(col[j])
-        return 0.0
-
-    def row(self, y2: int) -> tuple[int, np.ndarray]:
-        """(lowest x1, masses along the horizontal line x2 = y2)."""
-        self._require_exact_joint()
-        j = y2 - self.lo2
-        if 0 <= j < self.weights.shape[1]:
-            return self.lo1, self.weights[:, j].copy()
-        return self.lo1, np.zeros(0)
+        lo, d, col = self.vertical_marginal()
+        j = _coset_index(y2, lo, d, len(col))
+        return 0.0 if j is None else float(col[j])
 
     def window_mass(self, u, mu, n: int | None = None) -> float:
         """Mass with ((pos - n*mu)/sqrt(n)) in the half-open unit square u + [0,1)^2."""
         self._require_exact_joint()
         n = self.n if n is None else n
         s = math.sqrt(n)
-        lo_c = []
-        hi_c = []
-        for k in range(2):
+        box = []
+        for k, (lo, d, size) in enumerate(zip((self.lo1, self.lo2), self.stride,
+                                              self.cells.shape)):
             a = n * mu[k] + u[k] * s
             b = n * mu[k] + (u[k] + 1.0) * s
-            lo_c.append(int(math.ceil(a)))
-            hi_c.append(int(math.ceil(b)) - 1)
-        i0 = max(lo_c[0] - self.lo1, 0)
-        i1 = min(hi_c[0] - self.lo1 + 1, self.weights.shape[0])
-        j0 = max(lo_c[1] - self.lo2, 0)
-        j1 = min(hi_c[1] - self.lo2 + 1, self.weights.shape[1])
-        if i0 >= i1 or j0 >= j1:
-            return 0.0
-        return float(self.weights[i0:i1, j0:j1].sum())
+            # cells with lo + d*i in [ceil(a), ceil(b) - 1]
+            i0 = max(-((lo - math.ceil(a)) // d), 0)
+            i1 = min((math.ceil(b) - 1 - lo) // d + 1, size)
+            if i0 >= i1:
+                return 0.0
+            box.append(slice(i0, i1))
+        return float(self.cells[tuple(box)].sum())
 
     def to_csv(self, fh) -> None:
         fh.write("x1,x2,weight\n")
-        idx = np.argwhere(self.weights > 0)
-        for i, j in idx:
-            fh.write(f"{self.lo1 + i},{self.lo2 + j},{self.weights[i, j]!r}\n")
+        d1, d2 = self.stride
+        for i, j in np.argwhere(self.cells > 0):
+            fh.write(f"{self.lo1 + d1 * i},{self.lo2 + d2 * j},{self.cells[i, j]!r}\n")
 
 
 def chernoff_gamma(sd: StepDistribution) -> float:
@@ -220,15 +243,20 @@ def auto_barrier(sd: StepDistribution, x, target: float = 1e-12) -> int:
 
 
 def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
-    """One convolution-and-kill step; returns a fresh measure."""
+    """One convolution-and-kill step; returns a fresh measure.
+
+    The point mass at n = 0 takes the stride of ``sd``; every later
+    measure keeps its own, which must be that of the same law.
+    """
     if m.barrier is not None and m.barrier < sd.max_abs_dx():
         raise BarrierError(
             f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx()}"
         )
     t = m.spec.threshold
     kill = (t if m.spec.kills_x1 else None, t if m.spec.kills_x2 else None)
-    new, (lo1, lo2), cuts, drop = _kill_step(m.weights, (m.lo1, m.lo2),
-                                             sd.atoms, kill)
+    d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
+    new, (lo1, lo2), cuts, drop = _kill_step(m.cells, (m.lo1, m.lo2),
+                                             sd.atoms, kill, stride)
     killed = m.killed_mass
     for cut in cuts:
         killed += float(cut.sum())
@@ -239,26 +267,24 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     leaked_total = m.leaked_total
     if leaked.size:
         leaked, (leak_lo,), (cut,), drop = _kill_step(
-            leaked, (leak_lo,), sorted(sd.vertical_pmf().items()), kill[1:])
+            leaked, (leak_lo,), sorted(sd.vertical_pmf().items()), kill[1:],
+            (d2,))
         killed += float(cut.sum())
         dropped += float(drop)
 
     # migrate mass beyond the barrier into the vertical-only measure
-    if m.barrier is not None and lo1 + new.shape[0] - 1 > m.barrier:
-        keep = max(m.barrier - lo1 + 1, 0)
+    if m.barrier is not None and lo1 + d1 * (new.shape[0] - 1) > m.barrier:
+        keep = max((m.barrier - lo1) // d1 + 1, 0)
         spill = new[keep:, :].sum(axis=0)
         amt = float(spill.sum())
         if amt > 0:
             leaked_total += amt
-            lo = min(leak_lo, lo2)
-            out = np.zeros(max(leak_lo + len(leaked), lo2 + len(spill)) - lo)
-            out[leak_lo - lo:leak_lo - lo + len(leaked)] += leaked
-            out[lo2 - lo:lo2 - lo + len(spill)] += spill
-            leaked, (leak_lo,), drop = _trim(out, (lo,), PRUNE_DEFAULT)
+            lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
+            leaked, (leak_lo,), drop = _trim(out, (lo,), PRUNE_DEFAULT, (d2,))
             dropped += float(drop)
         new = new[:keep, :]
     return QuadrantMeasure(
-        n=m.n + 1, weights=new, lo1=lo1, lo2=lo2, spec=m.spec,
+        n=m.n + 1, cells=new, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
         barrier=m.barrier, leaked=leaked, leak_lo=leak_lo,
         killed_mass=killed, dropped_mass=dropped,
         leaked_total=leaked_total, gamma=m.gamma,
@@ -323,9 +349,10 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     if x2 < kill[0]:
         raise InputError(f"start height {x2} is outside the region")
     atoms = sorted(sd.vertical_pmf().items())
+    stride = _stride(atoms)
     alive, lo = np.ones(1), (x2,)
     for _ in range(n):
-        alive, lo, _, _ = _kill_step(alive, lo, atoms, kill)
+        alive, lo, _, _ = _kill_step(alive, lo, atoms, kill, stride)
     return float(alive.sum())
 
 
@@ -341,8 +368,9 @@ def half_plane_local(sd: StepDistribution, x, y, n: int,
 def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):
     """Exact integer path counts after n steps (quadrant kill).
 
-    Returns (counts, (lo1, lo2)): an object array of Python ints over the
-    bounding box of the reachable states, ``counts[i, j]`` at (lo1+i, lo2+j).
+    Returns (counts, (lo1, lo2), (d1, d2)): an object array of Python ints
+    over the bounding box of the reachable states on their coset,
+    ``counts[i, j]`` at (lo1 + d1 i, lo2 + d2 j).
     """
     if n < 0:
         raise InputError("n must be >= 0")
@@ -350,20 +378,20 @@ def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):
     if min(lo) < threshold:
         raise InputError(f"start {x} is not inside the survival region")
     atoms = [(dx, dy, 1) for dx, dy, _ in sd.atoms]
+    stride = _stride(atoms)
     counts = np.ones((1, 1), dtype=object)
     for _ in range(n):
         counts, lo, _, _ = _kill_step(counts, lo, atoms, (threshold, threshold),
-                                      prune=0)
-    return counts, lo
+                                      stride, prune=0)
+    return counts, lo, stride
 
 
 def count_paths(sd: StepDistribution, x, y, n: int, threshold: int = 1) -> int:
     """Exact number of n-step paths x -> y staying inside the quadrant."""
-    counts, (lo1, lo2) = _count_run(sd, x, n, threshold)
-    i, j = int(y[0]) - lo1, int(y[1]) - lo2
-    if 0 <= i < counts.shape[0] and 0 <= j < counts.shape[1]:
-        return counts[i, j]
-    return 0
+    counts, (lo1, lo2), (d1, d2) = _count_run(sd, x, n, threshold)
+    i = _coset_index(int(y[0]), lo1, d1, counts.shape[0])
+    j = _coset_index(int(y[1]), lo2, d2, counts.shape[1])
+    return 0 if i is None or j is None else counts[i, j]
 
 
 def count_line(sd: StepDistribution, x, n: int, y2: int = 1,
@@ -372,6 +400,6 @@ def count_line(sd: StepDistribution, x, n: int, y2: int = 1,
 
     M_0(x) = 1 when x already sits on the line (empty path), else 0.
     """
-    counts, (_, lo2) = _count_run(sd, x, n, threshold)
-    j = y2 - lo2
-    return counts[:, j].sum() if 0 <= j < counts.shape[1] else 0
+    counts, (_, lo2), (_, d2) = _count_run(sd, x, n, threshold)
+    j = _coset_index(y2, lo2, d2, counts.shape[1])
+    return 0 if j is None else counts[:, j].sum()

@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from .dp import ExitSpec, QuadrantMeasure, chernoff_gamma, step_measure
 from .errors import InputError
-from .steps import StepDistribution, _kill_step
+from .steps import StepDistribution, _kill_step, _stride
 
 __all__ = [
     "HarmonicEstimate",
@@ -98,11 +98,11 @@ def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
 
 def _v_weighted_mass(m: QuadrantMeasure, v_eff: np.ndarray) -> float:
     """sum over the measure of V_eff at the vertical coordinate."""
-    lo, col = m.vertical_marginal()
-    hi = lo + len(col)
-    if hi > len(v_eff):
-        raise InputError(f"V table too short: need {hi}, have {len(v_eff)}")
-    return float(col @ v_eff[lo:hi])
+    lo, d, col = m.vertical_marginal()
+    hi = lo + d * len(col)
+    if hi - d + 1 > len(v_eff):
+        raise InputError(f"V table too short: need {hi - d + 1}, have {len(v_eff)}")
+    return float(col @ v_eff[lo:hi:d])
 
 
 def w_series(sd: StepDistribution, x, spec: ExitSpec, v_eff: np.ndarray,
@@ -171,9 +171,9 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
         raise InputError(f"start {x} is outside the survival region")
     if v_eff[x2] <= 0:
         raise InputError("V_eff vanishes at the starting height")
-    A, lo = np.ones((1, 1)), (x1, x2)
+    A, lo, stride = np.ones((1, 1)), (x1, x2), _stride(sd.atoms)
     for _ in range(n_max):
-        A, lo, _, _ = _kill_step(A, lo, sd.atoms, (t, t), weight=v_eff)
+        A, lo, _, _ = _kill_step(A, lo, sd.atoms, (t, t), stride, weight=v_eff)
     return float(v_eff[x2] * A.sum())
 
 

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateSupportError,
     InputError,
     NonzeroDriftError,
+    NumericError,
     ToleranceNotReachedError,
     UnsupportedLatticeError,
 )
@@ -54,6 +55,9 @@ __all__ = [
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Absorbing steps before the alive remainder is completed exactly.
 COMPLETION_AFTER = 512
+# Rounding allowed on a probability or a total mass before it counts as
+# a numeric failure: ladder mass above 1, overshoot laws outside [0, 1].
+MASS_TOL = 1e-12
 
 
 class BoundaryConvention(enum.Enum):
@@ -68,7 +72,7 @@ class LadderDist:
     """Ladder height law with truncation bookkeeping."""
 
     pmf: dict[int, float]
-    truncation_error: float
+    truncation_error: float  # signed: 1 - total mass, negative by rounding
     mean: float
     kind: str = ""  # "weak-descending" | "strict-descending" | "strict-ascending"
 
@@ -158,7 +162,12 @@ class CrossingSolver:
         """X[h_i, j] = P(first entry into <=0 lands at -j | start heights[i])."""
         powers = self.roots[None, :] ** heights[:, None]
         X = (powers @ self.coeffs).real
-        return np.clip(X, 0.0, 1.0)
+        if X.size and (X.min() < -MASS_TOL or X.max() > 1.0 + MASS_TOL):
+            raise NumericError(
+                f"overshoot probabilities in [{X.min():.3e}, {X.max():.3e}], "
+                f"outside [0, 1] by more than {MASS_TOL:.0e}"
+            )
+        return np.clip(X, 0.0, 1.0)  # rounding only, at most MASS_TOL
 
 
 def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
@@ -187,7 +196,8 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
     steps = 0
     while True:
         steps += 1
-        alive, lo, (cut,), drop = _kill_step(alive, lo, atoms, (kill,))
+        # unit stride: the cut is read one overshoot per cell
+        alive, lo, (cut,), drop = _kill_step(alive, lo, atoms, (kill,), (1,))
         # the cut ends at position kill - 1, i.e. overshoot 1 - kill
         absorbed[1 - kill:1 - kill + len(cut)] += cut[::-1]
         dropped += float(drop)
@@ -213,7 +223,12 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
                 partial=partial,
             )
     out = {j: float(m) for j, m in enumerate(absorbed) if m > 0.0}
-    return LadderDist(pmf=out, truncation_error=max(0.0, 1.0 - math.fsum(absorbed)),
+    residual = 1.0 - math.fsum(absorbed)
+    if residual < -MASS_TOL:
+        raise NumericError(
+            f"ladder mass exceeds 1 by {-residual:.3e} (tolerance {MASS_TOL:.0e})",
+            residual=residual, partial=out)
+    return LadderDist(pmf=out, truncation_error=residual,
                       mean=math.fsum(j * p for j, p in out.items()), kind=kind)
 
 
@@ -256,6 +271,26 @@ def _conditioned_positive(ld: LadderDist):
     return p0, arr
 
 
+def _renewal_mass(pos: np.ndarray, U: int) -> np.ndarray:
+    """u_0..u_U of u_0 = 1, u_k = sum_j pos[j] u_{k-j}, for pos[0] == 0.
+
+    u_k is the mass the renewal process with step law ``pos`` puts on k,
+    sum_m P(Z_m = k), in O(U * len(pos)) operations.  Each entry depends
+    only on the earlier ones, so a longer table repeats a shorter one
+    exactly.
+    """
+    steps = [(j, float(p)) for j, p in enumerate(pos) if j and p]
+    u = [1.0] + [0.0] * U
+    for k in range(1, U + 1):
+        total = 0.0
+        for j, p in steps:
+            if j > k:
+                break
+            total += p * u[k - j]
+        u[k] = total
+    return np.array(u)
+
+
 def renewal_V(ld: LadderDist, U: int) -> RenewalTable:
     """V(u) = 1_{u>=0} + sum_k P(chi_1 + ... + chi_k <= u) for the weak law.
 
@@ -266,12 +301,7 @@ def renewal_V(ld: LadderDist, U: int) -> RenewalTable:
     if ld.mean <= 0:
         raise InputError("weak ladder mean must be positive for V")
     p0, pos = _conditioned_positive(ld)
-    S = np.zeros(U + 1)
-    f = np.zeros(U + 1)
-    f[0] = 1.0
-    while f.any():
-        S += np.cumsum(f)
-        f = np.convolve(f, pos)[:U + 1]
+    S = np.cumsum(_renewal_mass(pos, U))
     return RenewalTable(kind="V", values=S / (1.0 - p0), U=U)
 
 
@@ -283,14 +313,10 @@ def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
     arr = np.zeros(jmax + 1)
     for j, p in ld.pmf.items():
         arr[j] = p
+    # for u >= 1 the k = 0 term P(Z_0 < u) is the indicator, and
+    # P(Z_k < u) = P(Z_k <= u-1): the renewal CDF shifted right by one
     H = np.zeros(U + 1)
-    if U >= 1:
-        H[1:] = 1.0
-        f = arr[:U + 1].copy() if len(arr) > U + 1 else np.pad(arr, (0, U + 1 - len(arr)))
-        while f.any():
-            # P(Z_k < u) = P(Z_k <= u-1): shift the CDF right by one
-            H[1:] += np.cumsum(f)[:-1]
-            f = np.convolve(f, arr)[:U + 1]
+    H[1:] = np.cumsum(_renewal_mass(arr, U))[:U]
     return RenewalTable(kind="H", values=H, U=U)
 
 
@@ -332,6 +358,7 @@ class ConventionReport:
     v_shift: int          # shift pairing V with a kill-on-nonpositive walk
     max_residual_selected: float
     max_residual_rejected: float
+    ladder: LadderDist    # the weak descending ladder law the test built V from
 
 
 def resolve_convention(sd: StepDistribution, xmax: int = 50,
@@ -368,4 +395,5 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
         v_shift=shift,
         max_residual_selected=residuals[selected],
         max_residual_rejected=residuals[rejected],
+        ladder=ld,
     )

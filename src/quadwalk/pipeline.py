@@ -62,9 +62,9 @@ class ConditionedWalkPipeline:
             raise InputError("horizontal drift must be positive")
         lattice = lattice_decompose(sd)
         gauss = GaussParams.from_moments(moments)
-        chi_minus = ladders.descending_ladder(sd)
-        chi_plus = ladders.ascending_ladder(sd)
         conv_report = ladders.resolve_convention(sd, xmax=XMAX_CONVENTION)
+        chi_minus = conv_report.ladder
+        chi_plus = ladders.ascending_ladder(sd)
         kap = ladders.kappa(chi_minus)
         kap_p = ladders.kappa(chi_plus)
         consts = AsymptoticConstants(

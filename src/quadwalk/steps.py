@@ -7,8 +7,12 @@ implements exponential tilting together with a Newton solver that finds the
 tilt achieving a prescribed drift.
 
 It also holds ``_kill_step``, the one propagation kernel of the package:
-a single step of a walk killed on leaving a box, on a dense 1-D or 2-D
-measure of floats or of exact Python integers.
+a single step of a walk killed on leaving a box, on a 1-D or 2-D measure of
+floats or of exact Python integers.  The measure is stored on its lattice
+coset: with per-axis stride d (``_stride``, the d_i of ``lattice_decompose``)
+cell i stands for coordinate lo + d*i, since after any number of steps from
+one start every reachable coordinate lies in one class modulo d.  The
+other d-1 classes, exact zeros in a unit-stride box, are never stored.
 """
 
 from __future__ import annotations
@@ -260,21 +264,32 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
     return TiltParams(h=(float(h[0]), float(h[1])), phi=_phi(sd, h))
 
 
+def _stride(atoms) -> tuple[int, ...]:
+    """Per-axis gcd of the shift differences of (shift, ..., p) ``atoms``.
+
+    Every shift on axis ax lies in one class modulo the result's entry;
+    an axis with a single shift value gets 1.
+    """
+    out = []
+    for shifts in list(zip(*atoms))[:-1]:
+        d = 0
+        for s in shifts:
+            d = math.gcd(d, s - shifts[0])
+        out.append(d or 1)
+    return tuple(out)
+
+
 def lattice_decompose(sd: StepDistribution) -> LatticeStructure:
     """Maximal d_i with support(X_i) contained in a_i + d_i*Z, 0 <= a_i < d_i."""
     out = []
-    for idx in (0, 1):
+    for idx, d in enumerate(_stride(sd.atoms)):
         vals = sorted({atom[idx] for atom in sd.atoms})
         if len(vals) == 1:
             raise DegenerateSupportError(
                 f"coordinate {idx + 1} has a single support value {vals[0]}"
             )
-        d = 0
-        for v in vals[1:]:
-            d = math.gcd(d, v - vals[0])
-        a = vals[0] % d
-        out.append((a, d))
-    return LatticeStructure(a1=out[0][0], d1=out[0][1], a2=out[1][0], d2=out[1][1])
+        out += [vals[0] % d, d]
+    return LatticeStructure(*out)
 
 
 def in_lattice_support(ls: LatticeStructure, n: int, z) -> bool:
@@ -290,11 +305,12 @@ def load_steps(path) -> StepDistribution:
     return validate_steps([(s["dx"], s["dy"], s["w"]) for s in obj["steps"]])
 
 
-def _trim(a: np.ndarray, lo: tuple, prune):
+def _trim(a: np.ndarray, lo: tuple, prune, stride: tuple):
     """Shrink-wrap a 1-D or 2-D ``a`` to the box of its entries above ``prune``.
 
-    Returns (array, lo, dropped), ``dropped`` the sum of the cut edges.  An
-    array with nothing above ``prune`` collapses to one zero cell at ``lo``.
+    ``a[i]`` is at coordinate lo + stride*i on each axis.  Returns (array,
+    lo, dropped), ``dropped`` the sum of the cut edges.  An array with
+    nothing above ``prune`` collapses to one zero cell at ``lo``.
     """
     live = a > prune
     if not live.any():
@@ -314,51 +330,59 @@ def _trim(a: np.ndarray, lo: tuple, prune):
         if s1 < a.shape[ax]:
             dropped += a[head + (slice(s1, None),)].sum()
         a = a[head + (slice(s0, s1),)]
-    lo = tuple(c + s0 for c, (s0, _) in zip(lo, spans))
+    lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, spans))
     return np.ascontiguousarray(a), lo, dropped
 
 
-def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, weight=None,
-               prune=PRUNE_DEFAULT):
+def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
+               weight=None, prune=PRUNE_DEFAULT):
     """One step of a walk killed on leaving a box: convolve, kill, shrink-wrap.
 
-    ``a`` is a 1-D or 2-D measure with ``a[i]`` at coordinate ``lo + i`` (one
-    offset per axis) of any dtype that adds: float64, or object holding
-    Python ints for exact path counts.  ``atoms`` are (shift, ..., p) tuples
-    with one shift per axis; ``kill[ax]`` is the lowest surviving coordinate
-    on an axis, or None.  ``weight``, indexed by the last coordinate, turns
-    the step into the Doob transform p * weight[y] / weight[x].
+    ``a`` is a 1-D or 2-D measure with ``a[i]`` at coordinate lo + d*i, with
+    one offset lo and one stride d per axis, of any dtype that adds:
+    float64, or object holding Python ints for exact path counts.
+    ``atoms`` are (shift, ..., p) tuples with one shift per axis, all shifts
+    of an axis in one class modulo its stride (see ``_stride``); an atom
+    moves the array by (shift - min shift) / d cells.  ``kill[ax]`` is the
+    lowest surviving coordinate on an axis, or None.  ``weight``, indexed
+    by the last coordinate, turns the step into the Doob transform
+    p * weight[y] / weight[x].
 
-    Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed below
-    ``kill[ax]``, its last entry at kill[ax] - 1 (the last axis is cut
-    first); ``dropped`` is the mass of the trimmed edges, each <= ``prune``.
-    An empty measure (no cells, or the one zero cell ``_trim`` leaves) is
-    returned as it is.
+    Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed
+    below ``kill[ax]``, its last entry at the highest coset point below it
+    (kill[ax] - 1 at stride 1; the last axis is cut first); ``dropped`` is
+    the mass of the trimmed edges, each <= ``prune``.  An empty measure (no
+    cells, or the one zero cell ``_trim`` leaves) keeps its cells, but its
+    lo moves and is cut as a live one's would, so it stays on its coset.
     """
     nd = a.ndim
-    if a.size <= 1 and not a.any():
-        return a, lo, [a[:0]] * nd, 0
     shifts = list(zip(*atoms))[:nd]
     smin = [min(c) for c in shifts]
-    width = [max(c) - s0 + 1 for c, s0 in zip(shifts, smin)]
-    if weight is not None:
-        top = lo[-1] + a.shape[-1] + max(shifts[-1])
+    if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):
+        raise InputError(f"step shifts {shifts} are off the lattice of stride {stride}")
+    empty = a.size <= 1 and not a.any()
+    offs = [[(s - s0) // d for s in c] for c, s0, d in zip(shifts, smin, stride)]
+    d = stride[-1]
+    if weight is not None and not empty:
+        top = lo[-1] + d * (a.shape[-1] - 1) + max(*shifts[-1], 0) + 1
         if top > len(weight):
             raise InputError(f"V table too short: need {top}, have {len(weight)}")
-        src = weight[lo[-1]:lo[-1] + a.shape[-1]]
+        src = weight[lo[-1]:lo[-1] + d * a.shape[-1]:d]
         a = a * np.divide(1.0, src, out=np.zeros(len(src)), where=src > 0)
-    if nd == 1 and a.dtype != object:
+    if empty:
+        new = a
+    elif nd == 1 and a.dtype != object:
         # one np.convolve call costs far less than per-atom adds on the
         # short line measures of ladders, leaked mass and half-planes
-        dense = np.zeros(width[0])
-        for s, p in atoms:
-            dense[s - smin[0]] += p
+        dense = np.zeros(max(offs[0]) + 1)
+        for i, (_, p) in zip(offs[0], atoms):
+            dense[i] += p
         new = np.convolve(a, dense)
     else:
-        new = np.zeros([n + w - 1 for n, w in zip(a.shape, width)], dtype=a.dtype)
+        new = np.zeros([n + max(o) for n, o in zip(a.shape, offs)], dtype=a.dtype)
         tmp = None  # scratch for p * a, freed before _trim copies the box
-        for at in atoms:
-            box = tuple(slice(s - s0, s - s0 + n) for s, s0, n in zip(at, smin, a.shape))
+        for at, *at_offs in zip(atoms, *offs):
+            box = tuple(slice(i, i + n) for i, n in zip(at_offs, a.shape))
             if at[nd] == 1:
                 new[box] += a
             else:
@@ -368,12 +392,15 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, weight=None,
     lo = [c + s0 for c, s0 in zip(lo, smin)]
     cuts = [None] * nd
     for ax in reversed(range(nd)):
-        k = 0 if kill[ax] is None else max(kill[ax] - lo[ax], 0)
+        # first cell at or above kill[ax]: ceil((kill - lo) / stride)
+        k = 0 if kill[ax] is None else max(-((lo[ax] - kill[ax]) // stride[ax]), 0)
         head = (slice(None),) * ax
         cuts[ax] = new[head + (slice(None, k),)]
         new = new[head + (slice(k, None),)]
-        lo[ax] += k
+        lo[ax] += k * stride[ax]
+    if empty:
+        return a, tuple(lo), cuts, 0
     if weight is not None:
-        new *= weight[lo[-1]:lo[-1] + new.shape[-1]]
-    new, lo, dropped = _trim(new, tuple(lo), prune)
+        new *= weight[lo[-1]:lo[-1] + d * new.shape[-1]:d]
+    new, lo, dropped = _trim(new, tuple(lo), prune, stride)
     return new, lo, cuts, dropped

@@ -191,6 +191,16 @@ class TestVerifyHarness:
             assert r.dp_error_bound <= 1e-10
             assert 0.9 < r.ratio < 1.1
 
+    def test_exact_joint_rows_report_pruned_mass(self, pipe):
+        from quadwalk.dp import ExitSpec, Region, run_dp
+        # by n = 512 edge cells of the half-plane measure fall below the
+        # prune floor, so the exact run's bound is small but positive
+        spec = ExitSpec(region=Region.UPPER_HALF_PLANE)
+        m = run_dp(pipe.sd, (1, 1), spec, 512, barrier=None)[512]
+        assert m.error_bound() > 0.0
+        (row,) = verify("llt-half", pipe, n_schedule=(512,))
+        assert row.dp_error_bound == m.error_bound()
+
     def test_infeasible_y_skipped_with_note(self, pipe):
         notes = []
         rows = verify("llt", pipe, n_schedule=(63, 64), y=(33, 31),

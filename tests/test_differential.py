@@ -1,11 +1,26 @@
 """The propagation kernel against brute-force oracles on random small laws."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadwalk import singular_steps, validate_steps
-from quadwalk.dp import ExitSpec, Region, _count_run, count_line, count_paths, run_dp
+from quadwalk.dp import (
+    ExitSpec,
+    QuadrantMeasure,
+    Region,
+    _count_run,
+    count_line,
+    count_paths,
+    half_plane_survival,
+    run_dp,
+    step_measure,
+)
+from quadwalk.errors import InputError
+from quadwalk.harmonic import _v_weighted_mass, make_tail_bound, w_series
 from quadwalk.ladders import BoundaryConvention
 
 from oracles import count_states, enumerate_paths
@@ -71,9 +86,164 @@ def test_counts_match_dict_counter_past_float_precision():
     sd = singular_steps()
     n = 64
     want = count_states([(dx, dy) for dx, dy, _ in sd.atoms], (1, 1), n)
-    counts, (lo1, lo2) = _count_run(sd, (1, 1), n)
-    got = {(lo1 + i, lo2 + j): counts[i, j] for i, j in zip(*counts.nonzero())}
+    counts, (lo1, lo2), (d1, d2) = _count_run(sd, (1, 1), n)
+    got = {(lo1 + d1 * i, lo2 + d2 * j): counts[i, j]
+           for i, j in zip(*counts.nonzero())}
     assert got == want
     assert max(want.values()) > 2 ** 53
     assert count_line(sd, (1, 1), n) == sum(
         c for (_, b), c in want.items() if b == 1)
+
+
+# -- periodic laws: the measure stored on its lattice coset ----------------------
+
+@st.composite
+def periodic_laws(draw, dx_cells=(-2, 1)):
+    """Atoms on a_i + d_i Z with d_i in {2, 3} and a_i != 0 mod d_i.
+
+    dx is a_1 + d_1 i with i drawn from ``dx_cells``; (0, 1) gives dx >= 1.
+    """
+    d = [draw(st.sampled_from((2, 3))) for _ in range(2)]
+    a = [draw(st.integers(1, di - 1)) for di in d]
+    k = draw(st.integers(min_value=2, max_value=5))
+    cells = draw(st.lists(st.tuples(st.integers(*dx_cells), st.integers(-2, 1)),
+                          min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    return validate_steps([((a[0] + d[0] * i, a[1] + d[1] * j), w)
+                           for (i, j), w in zip(cells, weights)])
+
+
+@given(periodic_laws(), st.sampled_from(list(Region)),
+       st.sampled_from(list(BoundaryConvention)), st.integers(0, 6),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_periodic_laws_match_enumeration(sd, region, conv, n, data):
+    spec = ExitSpec(region=region, conv=conv)
+    t = spec.threshold
+    x = data.draw(starts(t))
+    kill_x1, kill_x2 = KILLS[region]
+    surv, probs, _ = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
+                                     kill_x2=kill_x2, threshold=t)
+    m = run_dp(sd, x, spec, n, barrier=None)[n]
+    assert m.survival() == pytest.approx(surv, abs=1e-13)
+    # every point of a box around the reach, on the coset or off it
+    r = 5 * n + 1
+    box = [(y1, y2) for y1 in range(x[0] - r, x[0] + r + 1)
+           for y2 in range(x[1] - r, x[1] + r + 1)]
+    for y in box:
+        if y in probs:
+            assert m.local(y) == pytest.approx(probs[y], abs=1e-13)
+        else:
+            assert m.local(y) == 0.0
+    for y2 in range(x[1] - r, x[1] + r + 1):
+        want = sum(p for (_, b), p in probs.items() if b == y2)
+        assert m.line_sum(y2) == pytest.approx(want, abs=1e-13)
+    mu = (0.5, 0.0)
+    s = math.sqrt(n)
+    for u in [(u1, u2) for u1 in range(-3, 3) for u2 in range(-3, 3)]:
+        want = sum(p for y, p in probs.items()
+                   if all(n * mu[k] + u[k] * s <= y[k]
+                          < n * mu[k] + (u[k] + 1.0) * s for k in range(2)))
+        assert m.window_mass(u, mu) == pytest.approx(want, abs=1e-13)
+    surv_v, _, _ = enumerate_paths(sd.atoms, x, n, kill_x1=False, threshold=t)
+    assert half_plane_survival(sd, x[1], n, conv) == pytest.approx(surv_v, abs=1e-13)
+    _, _, counts = enumerate_paths(sd.atoms, x, n, threshold=t)
+    for y1, y2 in list(counts) + [(x[0] + 1, x[1]), (x[0], x[1] + 1)]:
+        for y in ((y1, y2), (y1 + 1, y2), (y1, y2 + 1)):
+            got = count_paths(sd, x, y, n, threshold=t)
+            assert type(got) is int and got == counts.get(y, 0)
+    for y2 in range(t, x[1] + r + 1):
+        got = count_line(sd, x, n, y2=y2, threshold=t)
+        assert type(got) is int
+        assert got == sum(c for (_, b), c in counts.items() if b == y2)
+
+
+def test_local_is_zero_off_the_coset():
+    sd = singular_steps()  # x_i + S_i(n) = x_i + n mod 2
+    m = run_dp(sd, (1, 1), ExitSpec(), 9, barrier=None)[9]
+    assert m.stride == (2, 2)
+    d1, d2 = m.stride
+    on = off = 0
+    for y1 in range(m.lo1 - 2, m.lo1 + d1 * m.cells.shape[0] + 2):
+        for y2 in range(m.lo2 - 2, m.lo2 + d2 * m.cells.shape[1] + 2):
+            if (y1 - 1 - 9) % 2 or (y2 - 1 - 9) % 2:
+                off += 1
+                assert m.local((y1, y2)) == 0.0
+                assert count_paths(sd, (1, 1), (y1, y2), 9) == 0
+            else:
+                on += m.local((y1, y2)) > 0
+    assert on == m.cells.size and off > 3 * on
+    assert m.line_sum(3) == 0.0 and count_line(sd, (1, 1), 9, 3) == 0
+
+
+def test_weights_keep_the_dense_layout():
+    sd = validate_steps([((1, -1), 2.0), ((1, 1), 1.0), ((-1, 1), 1.0)])
+    m = QuadrantMeasure.point_mass((2, 3), ExitSpec())
+    assert m.weights.tolist() == [[1.0]]
+    m = step_measure(m, sd)
+    assert m.stride == (2, 2)  # the point mass took the law's stride
+    for n in range(1, 8):
+        w = m.weights
+        assert w.shape == tuple((k - 1) * d + 1 for k, d in zip(m.cells.shape, m.stride))
+        for i in range(w.shape[0]):
+            for j in range(w.shape[1]):
+                # weights[i, j] is the mass at (lo1 + i, lo2 + j)
+                assert w[i, j] == m.local((m.lo1 + i, m.lo2 + j))
+        assert (w > 0).sum() == (m.cells > 0).sum()
+        m = step_measure(m, sd)
+
+
+def test_step_law_off_the_measures_lattice_rejected():
+    m = step_measure(QuadrantMeasure.point_mass((3, 3), ExitSpec()),
+                     singular_steps())
+    aperiodic = validate_steps([((1, -1), 1.0), ((2, 1), 1.0), ((-1, 0), 1.0)])
+    with pytest.raises(InputError):
+        step_measure(m, aperiodic)
+
+
+@given(periodic_laws(dx_cells=(0, 1)),
+       st.sampled_from([Region.QUADRANT, Region.RIGHT_HALF_PLANE]),
+       st.sampled_from(list(BoundaryConvention)), st.integers(0, 6),
+       st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_periodic_barrier_runs_match_enumeration(sd, region, conv, n, extra, data):
+    # every dx >= 1: leaked mass can never come back, so the barrier is exact,
+    # and the 2-D box and the leaked line both empty out and refill
+    spec = ExitSpec(region=region, conv=conv)
+    x = data.draw(starts(spec.threshold))
+    kill_x1, kill_x2 = KILLS[region]
+    surv, probs, _ = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
+                                     kill_x2=kill_x2, threshold=spec.threshold)
+    m = run_dp(sd, x, spec, n, barrier=sd.max_abs_dx() + extra)[n]
+    assert m.survival() == pytest.approx(surv, abs=1e-13)
+    r = 5 * n + 1
+    for y2 in range(x[1] - r, x[1] + r + 1):
+        want = sum(p for (_, b), p in probs.items() if b == y2)
+        assert m.line_sum(y2) == pytest.approx(want, abs=1e-13)
+
+
+def test_emptied_box_stays_on_its_coset():
+    # dx >= 1 a.s., so the barrier (L = 4) is exact; by n = 4 all the mass
+    # has crossed it, and the empty 2-D box must keep moving with the walk's
+    # parity or the leaked line is read one height off on odd steps
+    sd = validate_steps([((1, 1), 1.0), ((1, -1), 1.0), ((3, 1), 1.0),
+                         ((3, -1), 1.0)])
+    spec = ExitSpec()
+    ms = run_dp(sd, (1, 1), spec, 8, snapshots=range(9), barrier="auto")
+    v = np.arange(64.0) ** 2
+    for n in range(5, 9):
+        m = ms[n]
+        assert m.barrier == 4 and m.alive_mass() == 0.0
+        _, probs, _ = enumerate_paths(sd.atoms, (1, 1), n)
+        for y2 in range(0, 12):
+            want = sum(p for (_, b), p in probs.items() if b == y2)
+            assert m.line_sum(y2) == pytest.approx(want, abs=1e-15)
+        want = sum(p * v[b] for (_, b), p in probs.items())
+        assert _v_weighted_mass(m, v) == pytest.approx(want, rel=1e-14)
+    tb = make_tail_bound(sd, 1.0)
+    # tol=0 runs every checkpoint up to n_max
+    exact = w_series(sd, (1, 1), spec, v, tb, n_max=7, tol=0.0)
+    barred = w_series(sd, (1, 1), spec, v, tb, n_max=7, tol=0.0, barrier=4)
+    assert [n for n, _ in barred.history] == [0, 1, 2, 4, 7]
+    assert [w for _, w in barred.history] == pytest.approx(
+        [w for _, w in exact.history], rel=1e-14)

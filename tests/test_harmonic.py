@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadwalk import validate_steps
+from quadwalk import ladders, validate_steps
 from quadwalk.dp import ExitSpec
 from quadwalk.harmonic import export_w_grid, make_tail_bound, w_check_harmonic, w_series
 from quadwalk.pipeline import ConditionedWalkPipeline
@@ -62,6 +62,15 @@ class TestSeries:
         again = used.w((3, 3))
         assert again.n_used == fresh.n_used
         assert again.value == fresh.value
+
+    def test_build_computes_the_weak_ladder_once(self, monkeypatch):
+        calls = []
+        real = ladders.descending_ladder
+        monkeypatch.setattr(ladders, "descending_ladder",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        built = ConditionedWalkPipeline.build(pipe_steps())
+        assert len(calls) == 1
+        assert built.chi_minus is built.conv_report.ladder
 
     def test_v_eff_vector_matches_pointwise(self, pipe):
         vec = pipe.v_eff_vector(300)

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadwalk import validate_steps
 from quadwalk.errors import (
     InputError,
     NonzeroDriftError,
+    NumericError,
     ToleranceNotReachedError,
 )
 from quadwalk.ladders import (
     BoundaryConvention,
+    CrossingSolver,
     LadderDist,
     ascending_ladder,
     descending_ladder,
@@ -176,6 +180,87 @@ class TestRenewal:
         assert table(500) / 500.0 == pytest.approx(1.0 / ld.mean, rel=0.02)
 
 
+def convolution_renewal_V(ld, U):
+    """V summed over the convolution powers of the ladder law, term by term."""
+    p0 = ld.pmf.get(0, 0.0)
+    pos = np.zeros(ld.max_value() + 1)
+    for j, p in ld.pmf.items():
+        if j > 0:
+            pos[j] = p / (1.0 - p0)
+    S, f = np.zeros(U + 1), np.zeros(U + 1)
+    f[0] = 1.0
+    while f.any():
+        S += np.cumsum(f)
+        f = np.convolve(f, pos)[:U + 1]
+    return S / (1.0 - p0)
+
+
+@pytest.mark.parametrize("sd_fn", [fair_pm1, lazy_pm1, up_two])
+def test_renewal_V_matches_convolution_powers(sd_fn):
+    ld = descending_ladder(sd_fn())
+    want = convolution_renewal_V(ld, 2000)
+    assert renewal_V(ld, 2000).values == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def zero_drift_laws(draw):
+    """Vertical laws on [-3, 3] with zero drift, support gcd 1, maybe a lazy step."""
+    ups = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    downs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    assume(math.gcd(*ups, *downs) == 1)
+    wu = draw(st.lists(st.floats(0.1, 1.0), min_size=len(ups), max_size=len(ups)))
+    wd = draw(st.lists(st.floats(0.1, 1.0), min_size=len(downs),
+                       max_size=len(downs)))
+    scale = (math.fsum(u * w for u, w in zip(ups, wu))
+             / math.fsum(d * w for d, w in zip(downs, wd)))
+    steps = ([((0, u), w) for u, w in zip(ups, wu)]
+             + [((0, -d), w * scale) for d, w in zip(downs, wd)])
+    if draw(st.booleans()):
+        steps.append(((0, 0), draw(st.floats(0.1, 1.0))))
+    return validate_steps(steps)
+
+
+@given(zero_drift_laws())
+@settings(max_examples=25, deadline=None)
+def test_renewal_tables_match_direct_series(sd):
+    U = 8
+    ld = descending_ladder(sd)
+    assert list(renewal_V(ld, U).values) == pytest.approx(
+        direct_renewal_series(ld.pmf, U), rel=1e-9, abs=1e-9)
+    lp = ascending_ladder(sd)
+    assert list(renewal_H(lp, U).values) == pytest.approx(
+        direct_renewal_series(lp.pmf, U, strict_lt=True, indicator_gt=True),
+        rel=1e-9, abs=1e-9)
+
+
+class TestMassChecks:
+    def test_ladder_mass_above_one_raises(self, monkeypatch):
+        # the alive remainder after 512 steps is completed through the
+        # crossing solver; doubling its law puts the total mass above 1
+        real = CrossingSolver.overshoot_matrix
+        monkeypatch.setattr(CrossingSolver, "overshoot_matrix",
+                            lambda self, h: 2.0 * real(self, h))
+        with pytest.raises(NumericError) as info:
+            descending_ladder(fair_pm1())
+        assert info.value.residual < -1e-12
+
+    def test_overshoot_outside_unit_interval_raises(self):
+        solver = CrossingSolver({-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25})
+        X = solver.overshoot_matrix(np.arange(1, 6))
+        assert X.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+        solver.coeffs = 3.0 * solver.coeffs
+        with pytest.raises(NumericError):
+            solver.overshoot_matrix(np.arange(1, 6))
+
+    def test_truncation_error_is_signed(self):
+        # rounding may leave the completed mass a few ulp above 1; the
+        # residual is reported as it is, not clamped to 0
+        for sd in (fair_pm1(), lazy_pm1(), up_two()):
+            for ld in (descending_ladder(sd), ascending_ladder(sd)):
+                assert abs(ld.truncation_error) <= 1e-12
+                assert ld.truncation_error == 1.0 - math.fsum(ld.pmf.values())
+
+
 class TestKappa:
     def test_bernoulli(self):
         assert kappa(descending_ladder(fair_pm1())) == pytest.approx(
@@ -211,6 +296,10 @@ class TestConvention:
         assert rep.v_shift == 1
         assert rep.max_residual_selected <= 1e-9
         assert rep.max_residual_rejected > 1e-9
+
+    def test_report_carries_its_ladder(self):
+        rep = resolve_convention(fair_pm1())
+        assert rep.ladder == descending_ladder(fair_pm1())
 
     def test_lazy_walk_same_convention(self):
         rep = resolve_convention(lazy_pm1())
