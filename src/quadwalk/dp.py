@@ -75,6 +75,11 @@ class ExitSpec:
     def kills_x2(self) -> bool:
         return self.region in (Region.QUADRANT, Region.UPPER_HALF_PLANE)
 
+    def contains(self, x) -> bool:
+        """Whether the point x lies inside the survival region."""
+        t = self.threshold
+        return not (self.kills_x1 and x[0] < t or self.kills_x2 and x[1] < t)
+
 
 def _coset_index(y: int, lo: int, d: int, size: int) -> int | None:
     """Index of coordinate y in cells at lo + d*i, None when off the cells."""
@@ -126,8 +131,7 @@ class QuadrantMeasure:
                    gamma: float = math.inf):
         """Unit mass at x; its first ``step_measure`` sets the law's stride."""
         x1, x2 = int(x[0]), int(x[1])
-        t = spec.threshold
-        if spec.kills_x1 and x1 < t or spec.kills_x2 and x2 < t:
+        if not spec.contains(x):
             raise InputError(f"start {x} is not inside the survival region")
         return cls(n=0, cells=np.ones((1, 1)), lo1=x1, lo2=x2, spec=spec,
                    barrier=barrier, gamma=gamma)

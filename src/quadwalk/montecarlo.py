@@ -3,6 +3,13 @@
 Paths are simulated in fixed-size blocks; block b draws from a Philox
 stream keyed by (seed, b), so the result depends only on (seed, reps) and
 is bit-identical no matter how blocks are distributed over workers.
+
+Only the paths still alive are stepped: each step draws one uniform per
+survivor, and a block stops once it has none left.  Earlier versions drew
+a uniform for every path at every step, so a given seed now gives other
+numbers than it did then, from the same distribution.  Only the
+coordinates that the exit spec kills on are tracked.
+
 Plain Monte Carlo on purpose: the DP is the precision tool, this is an
 independence check.
 """
@@ -42,22 +49,26 @@ class McEstimate:
         return self.mean + self.half_width_95
 
 
-def _survival_count(sd_arrays, x, n, count, threshold, seed, block_idx) -> int:
-    cum, dxs, dys = sd_arrays
+def _survival_count(arrays, x, n, count, threshold, seed, block_idx) -> int:
+    """Paths of one block alive after n steps.
+
+    ``arrays`` is (cum, shifts): the atoms' cumulative weights and, per
+    killed axis, the atoms' shift on it; ``x`` is the start on those axes.
+    """
+    cum, shifts = arrays
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_idx], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    a = np.full(count, x[0], dtype=np.int64)
-    b = np.full(count, x[1], dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
+    pos = [np.full(count, xi, dtype=np.int64) for xi in x]
     for _ in range(n):
-        u = rng.random(count)
-        idx = np.searchsorted(cum, u, side="right")
-        a += dxs[idx]
-        b += dys[idx]
-        alive &= (a >= threshold) & (b >= threshold)
-        if not alive.any():
+        if not pos[0].size:
             break
-    return int(alive.sum())
+        idx = np.searchsorted(cum, rng.random(pos[0].size), side="right")
+        keep = None
+        for p, s in zip(pos, shifts):
+            p += s[idx]
+            keep = p >= threshold if keep is None else keep & (p >= threshold)
+        pos = [p[keep] for p in pos]
+    return pos[0].size
 
 
 def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
@@ -65,33 +76,34 @@ def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
                       spec: ExitSpec | None = None) -> McEstimate:
     """Fraction of simulated paths with exit time > n.
 
-    Identical (seed, reps) give bit-identical estimates for any worker
-    count; reps are processed in blocks of BLOCK_SIZE paths.
+    A path dies when a coordinate that ``spec`` kills on drops below its
+    threshold.  Identical (seed, reps) give bit-identical estimates for any
+    worker count; reps are processed in blocks of BLOCK_SIZE paths.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
     if n < 0:
         raise InputError("n must be >= 0")
-    threshold = (spec or ExitSpec()).threshold
+    spec = spec or ExitSpec()
+    if not spec.contains(x):
+        raise InputError(f"start {x} is not inside the survival region")
     if n == 0:
         return McEstimate(mean=1.0, half_width_95=0.0, reps=reps, seed=seed)
     atoms = sd.atoms
     cum = np.cumsum([w for _, _, w in atoms])
     cum[-1] = 1.0  # guard the top edge against rounding
-    dxs = np.array([dx for dx, _, _ in atoms], dtype=np.int64)
-    dys = np.array([dy for _, dy, _ in atoms], dtype=np.int64)
-    arrays = (cum, dxs, dys)
-    blocks = []
-    start = 0
-    b = 0
-    while start < reps:
-        blocks.append((b, min(BLOCK_SIZE, reps - start)))
-        start += BLOCK_SIZE
-        b += 1
+    axes = [i for i, kills in enumerate((spec.kills_x1, spec.kills_x2))
+            if kills]
+    shifts = [np.array([atom[i] for atom in atoms], dtype=np.int64)
+              for i in axes]
+    x0 = [int(x[i]) for i in axes]
+    blocks = list(enumerate(min(BLOCK_SIZE, reps - start)
+                            for start in range(0, reps, BLOCK_SIZE)))
 
     def work(item):
         idx, count = item
-        return _survival_count(arrays, x, n, count, threshold, seed, idx)
+        return _survival_count((cum, shifts), x0, n, count, spec.threshold,
+                               seed, idx)
 
     if workers <= 1:
         counts = [work(it) for it in blocks]

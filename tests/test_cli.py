@@ -168,6 +168,15 @@ def test_usage_error_exit_2(capsys, steps_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_mc_start_outside_region_exit_3(capsys, tilted_file, n):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                             "--x", "0,1", "--n", n, "--reps", "100")
+    assert code == 3
+    assert out == ""
+    assert "survival region" in err
+
+
 def test_threads_env_not_an_integer_exit_2(capsys, monkeypatch, tilted_file):
     monkeypatch.setenv("QUADWALK_THREADS", "abc")
     code, _, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
