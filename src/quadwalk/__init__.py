@@ -22,14 +22,13 @@ from .dp import (
     Region,
     count_line,
     count_paths,
-    half_plane_local,
     half_plane_survival,
     local_prob,
     run_dp,
     step_measure,
     survival_prob,
 )
-from .harmonic import HarmonicEstimate, w_check_harmonic, w_hat_survival, w_series
+from .harmonic import HarmonicEstimate, w_check_harmonic, w_hat_survival, w_rect
 from .ladders import (
     BoundaryConvention,
     LadderDist,

@@ -163,9 +163,9 @@ def q_density(y1: float, gp: GaussParams, consts: AsymptoticConstants) -> float:
     return pref * math.exp(-gp.sigma2sq * y1 ** 2 / (2.0 * gp.D))
 
 
-def int_q(gp: GaussParams, consts: AsymptoticConstants) -> float:
+def int_q(gp: GaussParams, kappa: float, kappa_prime: float) -> float:
     """Closed-form integral of q: kappa kappa' sqrt(pi/2) / sigma2."""
-    return consts.kappa * consts.kappa_prime * math.sqrt(math.pi / 2.0) / gp.sigma2
+    return kappa * kappa_prime * math.sqrt(math.pi / 2.0) / gp.sigma2
 
 
 def int_q_quadrature(gp: GaussParams, consts: AsymptoticConstants,

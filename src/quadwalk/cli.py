@@ -180,10 +180,7 @@ def cmd_dp(args):
     if args.what == "local":
         if args.y is None:
             raise InputError("dp local needs --y")
-        if spec.region is dp.Region.UPPER_HALF_PLANE:
-            p = dp.half_plane_local(sd, args.x, args.y, args.n, spec.conv)
-        else:
-            p = dp.local_prob(sd, args.x, args.y, args.n, spec)
+        p = dp.local_prob(sd, args.x, args.y, args.n, spec)
         return Table(["n", "probability"], [[args.n, p]])
     if args.what == "count":
         if args.y is None:

@@ -41,7 +41,6 @@ __all__ = [
     "survival_prob",
     "local_prob",
     "half_plane_survival",
-    "half_plane_local",
     "count_paths",
     "count_line",
     "chernoff_gamma",
@@ -358,15 +357,6 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     for _ in range(n):
         alive, lo, _, _ = _kill_step(alive, lo, atoms, kill, stride)
     return float(alive.sum())
-
-
-def half_plane_local(sd: StepDistribution, x, y, n: int,
-                     conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
-                     ) -> float:
-    """P(x + S(n) = y, tau_x > n): vertical kill only, x1 enumerated exactly."""
-    spec = ExitSpec(region=Region.UPPER_HALF_PLANE, conv=conv)
-    m = run_dp(sd, x, spec, n, snapshots={n}, barrier=None)[n]
-    return m.local(y)
 
 
 def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):

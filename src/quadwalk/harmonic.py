@@ -1,15 +1,15 @@
 """The quadrant harmonic function W.
 
 W(x) is the limit of the nonincreasing sequence E[V(x2 + S2(n)); T_x > n],
-where V is the renewal function paired with the walk's kill rule.  Each
-evaluation is one dynamic-programming run with V-weighted terminal
-aggregation; the bracket below the monotone upper value comes from a
+where V is the renewal function paired with the walk's kill rule.  One
+backward pass evaluates it at every start of a rectangle: the iterate
+f_{k+1}(y) = sum_s p f_k(y + s), f_0 = V, is that expectation at time k for
+all y at once.  The bracket below the monotone upper value comes from a
 Chernoff bound on late horizontal exits combined with the linear growth of
 V.  The Doob-transformed walk (transition weights V(y2)/V(x2)) yields
 W(x) = V(x2) * Phat(sigma_x > n), algebraically equal at every finite n and
-used as a cross-check.  Both run on the package's one propagation kernel,
-``steps._kill_step``: the series through ``dp.step_measure``, the Doob walk
-directly with V as the kernel's per-height weight.
+used as a cross-check; it runs on the package's one propagation kernel,
+``steps._kill_step``, with V as the kernel's per-height weight.
 """
 
 from __future__ import annotations
@@ -20,17 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dp import ExitSpec, QuadrantMeasure, chernoff_gamma, step_measure
-from .errors import InputError
+# step_measure is re-exported: the benchmark's tracer test reads it here
+from .dp import ExitSpec, chernoff_gamma, step_measure  # noqa: F401
+from .errors import BarrierError, InputError
 from .steps import StepDistribution, _kill_step, _stride
 
 __all__ = [
     "HarmonicEstimate",
     "TailBound",
-    "w_series",
+    "w_rect",
     "w_hat_survival",
     "w_check_harmonic",
-    "export_w_grid",
 ]
 
 
@@ -56,13 +56,15 @@ class TailBound:
 
     ``phi_min`` is min_s E[exp(-s X1)] and ``s_star`` its argmin, so
     P(sigma_x = k) <= exp(-s* x1) phi_min^k; ``v_slope`` bounds V(u) <= v_slope*u
-    (the geometric resummation gives V_weak(u) <= (u+1)/(1-p0)).
+    (the geometric resummation gives V_weak(u) <= (u+1)/(1-p0)).  ``gamma``
+    is the barrier rate of ``dp.chernoff_gamma``, 0 without a positive drift.
     """
 
     s_star: float
     phi_min: float
     v_slope: float
     max_dy: int
+    gamma: float
 
     def tail(self, x, n: int) -> float:
         """Bound on sum_{k>n} E[V(x2+S2(k)); tau>k, sigma=k]."""
@@ -78,6 +80,11 @@ class TailBound:
             (a + b * (n + 1)) * g + b * r * g / (1 - r)
         )
 
+    def leak(self, x, n: int, barrier: int) -> float:
+        """Barrier bias after n steps: leaked mass (at most 1) never killed again."""
+        return (math.exp(-self.gamma * (barrier + 1)) * self.v_slope
+                * (x[1] + n * self.max_dy))
+
 
 def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
     """Chernoff ingredients for the W bracket."""
@@ -85,75 +92,99 @@ def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
     if min(hp) >= 0:
         # the walk never moves left: sigma_x is impossible from x1 >= 1
         return TailBound(s_star=0.0, phi_min=0.0, v_slope=v_slope,
-                         max_dy=sd.max_abs_dy())
+                         max_dy=sd.max_abs_dy(), gamma=math.inf)
 
     def neg_mgf(s):
         return math.fsum(p * math.exp(-s * v) for v, p in hp.items())
 
     res = minimize_scalar(neg_mgf, bounds=(1e-9, 50.0), method="bounded",
                           options={"xatol": 1e-12})
+    drift = math.fsum(v * p for v, p in hp.items())
     return TailBound(s_star=float(res.x), phi_min=float(res.fun),
-                     v_slope=v_slope, max_dy=sd.max_abs_dy())
+                     v_slope=v_slope, max_dy=sd.max_abs_dy(),
+                     gamma=chernoff_gamma(sd) if drift > 0 else 0.0)
 
 
-def _v_weighted_mass(m: QuadrantMeasure, v_eff: np.ndarray) -> float:
-    """sum over the measure of V_eff at the vertical coordinate."""
-    lo, d, col = m.vertical_marginal()
-    hi = lo + d * len(col)
-    if hi - d + 1 > len(v_eff):
-        raise InputError(f"V table too short: need {hi - d + 1}, have {len(v_eff)}")
-    return float(col @ v_eff[lo:hi:d])
+def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
+    """out[i] = sum over (shift, ..., p) atoms of p * g[origin + shift + i]."""
+    out = np.zeros(shape)
+    for *shift, p in atoms:
+        out += p * g[tuple(slice(o + s, o + s + k)
+                           for o, s, k in zip(origin, shift, shape))]
+    return out
 
 
-def w_series(sd: StepDistribution, x, spec: ExitSpec, v_eff: np.ndarray,
-             tail_bound: TailBound, n_max: int = 2048, tol: float = 1e-10,
-             barrier: int | None = None) -> HarmonicEstimate:
-    """Bracketed W(x) = lim_n E[V_eff(x2 + S2(n)); T_x > n].
+def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
+           tail_bound: TailBound, tol: float, n_max: int,
+           barrier: int) -> dict[tuple[int, int], HarmonicEstimate]:
+    """Bracketed W(y) = lim_n E[v(y2 + S2(n)); T_y > n] on x's rectangle.
 
-    The expectation is evaluated along n = 2^k; it is nonincreasing and
-    supplies the upper end of the bracket, the Chernoff tail bound the
-    lower end.  Stops as soon as the bracket is narrower than ``tol``;
-    if that never happens the widest-n estimate is returned with
-    ``warned=True``.
+    The rectangle [x1, L - max|dx|] x [t, x2], L = ``barrier`` and t the
+    quadrant threshold, holds the starts whose ``auto_barrier`` equals x's
+    and whose a-priori bracket is no wider.  The backward iterate
+    f_{k+1}(y) = sum_s p f_k(y + s), f_0 = v, runs on the strip
+    [t, L] x [t, x2 + N max(dy)], which loses its top max(dy) rows per step;
+    f is 0 at killed points, and past column L it is the vertical-only
+    iterate of v, as the forward run's leaked measure is.  Each start is read
+    at n = 1, 2, 4, ... and n_max, and takes the first n whose bracket is
+    within ``tol`` (``warned=True`` if none).  The horizon N is the first
+    such n for x's a-priori width, whose upper value v(x2 + max|dy|) bounds
+    f_n for V and for the identity weight of a driftless vertical walk
+    (optional stopping).  A value depends only on its own start, so every
+    rectangle that holds a start gives it the same estimate.
     """
-    gamma = chernoff_gamma(sd) if barrier is not None else math.inf
-    m = QuadrantMeasure.point_mass(x, spec, barrier=barrier, gamma=gamma)
-    checkpoints = []
-    k = 1
-    while k <= n_max:
-        checkpoints.append(k)
-        k *= 2
-    if not checkpoints or checkpoints[-1] != n_max:
+    x1, x2 = int(x[0]), int(x[1])
+    t, max_dx = spec.threshold, sd.max_abs_dx()
+    if not (spec.kills_x1 and spec.kills_x2 and spec.contains((x1, x2))):
+        raise InputError(f"start {x} is not inside the quadrant")
+    if barrier < x1 + max_dx:
+        raise BarrierError(f"barrier {barrier} below x1 + max |dx| = {x1 + max_dx}")
+
+    def width(y, n, upper):
+        return (tail_bound.tail(y, n) + tail_bound.leak(y, n, barrier)
+                + 1e-13 * max(1.0, upper) * math.sqrt(max(n, 1)))
+
+    checkpoints = [1 << k for k in range(n_max.bit_length())]
+    if checkpoints[-1] != n_max:
         checkpoints.append(n_max)
-    history = [(0, _v_weighted_mass(m, v_eff))]
-    best = None
-    for n_target in checkpoints:
-        while m.n < n_target:
-            m = step_measure(m, sd)
-        upper = _v_weighted_mass(m, v_eff)
-        history.append((m.n, upper))
-        width = tail_bound.tail(x, m.n)
-        # barrier bias: leaked mass never horizontally killed again
-        if m.barrier is not None and m.leaked_total > 0:
-            vmax_reach = x[1] + m.n * tail_bound.max_dy
-            width += (m.leaked_total * math.exp(-m.gamma * (m.barrier + 1))
-                      * tail_bound.v_slope * vmax_reach)
-        # float accumulation allowance for the DP sums
-        width += 1e-13 * max(1.0, upper) * math.sqrt(max(m.n, 1))
-        best = HarmonicEstimate(
-            value=upper - 0.5 * min(width, upper),
-            upper=upper,
-            lower=max(upper - width, 0.0),
-            n_used=m.n,
-            warned=False,
-            history=tuple(history),
-        )
-        if best.width <= tol:
-            return best
-    return HarmonicEstimate(
-        value=best.value, upper=best.upper, lower=best.lower,
-        n_used=best.n_used, warned=True, history=best.history,
-    )
+    v_top = float(v[x2 + tail_bound.max_dy])
+    N = next((n for n in checkpoints if width((x1, x2), n, v_top) <= tol), n_max)
+
+    dxs, dys = [a[0] for a in sd.atoms], [a[1] for a in sd.atoms]
+    left, right = max(-min(dxs), 0), max(max(dxs), 0)
+    down, up = max(-min(dys), 0), max(max(dys), 0)
+    if x2 + N * up >= len(v):
+        raise InputError(f"V table too short: need {x2 + N * up + 1}, have {len(v)}")
+    ncol = barrier - t + 1
+    h = np.asarray(v[t:x2 + N * up + 1], dtype=float)
+    f = np.tile(h, (ncol, 1))
+    vert = sorted(sd.vertical_pmf().items())
+    rect = (slice(x1 - t, barrier - max_dx - t + 1), slice(0, x2 - t + 1))
+    snaps = [f[rect]]
+    for k in range(1, N + 1):
+        hp = np.concatenate((np.zeros(down), h))
+        g = np.zeros((left + ncol + right, len(hp)))
+        g[left + ncol:] = hp
+        g[left:left + ncol, down:] = f
+        f = _pull(g, sd.atoms, (left, down), (ncol, len(h) - up))
+        h = _pull(hp, vert, (down,), (len(h) - up,))
+        if k in checkpoints:
+            snaps.append(f[rect])
+    ns = [0] + [n for n in checkpoints if n <= N]
+
+    out = {}
+    for y1, col in zip(range(x1, barrier - max_dx + 1), np.stack(snaps, -1).tolist()):
+        for y2, uppers in zip(range(t, x2 + 1), col):
+            for c in range(1, len(ns)):
+                w = width((y1, y2), ns[c], uppers[c])
+                lower = max(uppers[c] - w, 0.0)
+                if uppers[c] - lower <= tol:
+                    break
+            out[y1, y2] = HarmonicEstimate(
+                value=uppers[c] - 0.5 * min(w, uppers[c]), upper=uppers[c],
+                lower=lower, n_used=ns[c], warned=uppers[c] - lower > tol,
+                history=tuple(zip(ns[:c + 1], uppers[:c + 1])))
+    return out
 
 
 def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
@@ -162,12 +193,12 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
 
     The kernel Phat(x, y) = V_eff(y2)/V_eff(x2) P(step) is killed on
     leaving the quadrant; where V_eff vanishes at killed heights only the
-    horizontal kill removes mass.  Algebraically equal to the w_series
-    expectation at the same n.
+    horizontal kill removes mass.  Algebraically equal to the ``w_rect``
+    upper value at the same n.
     """
     x1, x2 = int(x[0]), int(x[1])
     t = spec.threshold
-    if x1 < t or x2 < t:
+    if not spec.contains((x1, x2)):
         raise InputError(f"start {x} is outside the survival region")
     if v_eff[x2] <= 0:
         raise InputError("V_eff vanishes at the starting height")
@@ -179,23 +210,9 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
 
 def w_check_harmonic(sd: StepDistribution, w_eval, x, spec: ExitSpec) -> float:
     """|W(x) - sum_steps p W(x + step) 1{survive}|."""
-    t = spec.threshold
     s = 0.0
     for dx, dy, w in sd.atoms:
         nx = (x[0] + dx, x[1] + dy)
-        ok = True
-        if spec.kills_x1 and nx[0] < t:
-            ok = False
-        if spec.kills_x2 and nx[1] < t:
-            ok = False
-        if ok:
+        if spec.contains(nx):
             s += w * w_eval(nx)
     return abs(w_eval(x) - s)
-
-
-def export_w_grid(estimates: dict[tuple[int, int], HarmonicEstimate], fh) -> None:
-    """CSV export: x1, x2, lower, value, upper, n_used."""
-    fh.write("x1,x2,lower,value,upper,n_used\n")
-    for (x1, x2) in sorted(estimates):
-        e = estimates[(x1, x2)]
-        fh.write(f"{x1},{x2},{e.lower!r},{e.value!r},{e.upper!r},{e.n_used}\n")

@@ -5,21 +5,21 @@ horizontal drift, this builds every downstream ingredient in one place:
 moments and lattice structure, both ladder laws, the renewal tables, the
 boundary-convention resolution (which fixes how V pairs with the literal
 kill-on-nonpositive stopping times), the Gaussian parameters, the
-asymptotic constants, and a memoized evaluator for the harmonic function W.
+asymptotic constants, and the harmonic function W, evaluated a rectangle
+of starts at a time and cached by (point, tol).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ladders
-from .asymptotics import AsymptoticConstants, GaussParams
+from .asymptotics import AsymptoticConstants, GaussParams, int_q
 from .dp import ExitSpec, Region, auto_barrier
 from .errors import InputError, NonzeroDriftError
-from .harmonic import HarmonicEstimate, TailBound, make_tail_bound, w_hat_survival, w_series
+from .harmonic import HarmonicEstimate, TailBound, make_tail_bound, w_hat_survival, w_rect
 from .ladders import BoundaryConvention, ConventionReport, LadderDist, RenewalTable
 from .steps import LatticeStructure, Moments, StepDistribution, compute_moments, lattice_decompose, in_lattice_support
 
@@ -27,6 +27,8 @@ __all__ = ["ConditionedWalkPipeline"]
 
 DRIFT_TOL = 1e-10
 XMAX_CONVENTION = 50  # heights 1..50 checked for V- and H-harmonicity
+N_MAX = 4096  # last checkpoint of the W iterate
+BARRIER_TARGET = 1e-16  # exp(-gamma (L + 1)) for the W barrier L
 
 
 @dataclass
@@ -45,7 +47,8 @@ class ConditionedWalkPipeline:
     h_residual: float
     _V: RenewalTable = field(repr=False, default=None)
     _H: RenewalTable = field(repr=False, default=None)
-    _w_memo: dict = field(repr=False, default_factory=dict)
+    _w_cache: dict = field(repr=False, default_factory=dict)
+    _w_star_cache: dict = field(repr=False, default_factory=dict)
     _tail_bound: TailBound = field(repr=False, default=None)
     _tail_bound_linear: TailBound = field(repr=False, default=None)
 
@@ -67,15 +70,15 @@ class ConditionedWalkPipeline:
         chi_plus = ladders.ascending_ladder(sd)
         kap = ladders.kappa(chi_minus)
         kap_p = ladders.kappa(chi_plus)
-        consts = AsymptoticConstants(
-            kappa=kap, kappa_prime=kap_p,
-            int_q=kap * kap_p * math.sqrt(math.pi / 2.0) / gauss.sigma2,
-        )
+        consts = AsymptoticConstants(kappa=kap, kappa_prime=kap_p,
+                                     int_q=int_q(gauss, kap, kap_p))
         pipe = cls(
             sd=sd, moments=moments, lattice=lattice, gauss=gauss,
             chi_minus=chi_minus, chi_plus=chi_plus, conv_report=conv_report,
             consts=consts, spec=ExitSpec(region=Region.QUADRANT, conv=conv),
             h_residual=0.0,
+            _tail_bound=make_tail_bound(sd, 1.0 / (1.0 - chi_minus.pmf.get(0, 0.0))),
+            _tail_bound_linear=make_tail_bound(sd, 1.0),
         )
         pipe.h_residual = pipe._check_h_harmonicity(XMAX_CONVENTION)
         if pipe.h_residual > 1e-9:
@@ -134,24 +137,9 @@ class ConditionedWalkPipeline:
 
     # -- harmonic function W -------------------------------------------------
 
-    def _v_slope(self) -> float:
-        p0 = self.chi_minus.pmf.get(0, 0.0)
-        return 1.0 / (1.0 - p0)
-
-    def w(self, x, tol: float = 1e-10, n_max: int = 4096,
-          barrier_target: float = 1e-16) -> HarmonicEstimate:
-        x = (int(x[0]), int(x[1]))
-        key = (x, tol, n_max, barrier_target)
-        if key in self._w_memo:
-            return self._w_memo[key]
-        if self._tail_bound is None:
-            self._tail_bound = make_tail_bound(self.sd, self._v_slope())
-        L = auto_barrier(self.sd, x, barrier_target)
-        v_vec = self.v_eff_vector(x[1] + (n_max + 1) * self.sd.max_abs_dy())
-        est = w_series(self.sd, x, self.spec, v_vec, self._tail_bound,
-                       n_max=n_max, tol=tol, barrier=L)
-        self._w_memo[key] = est
-        return est
+    def w(self, x, tol: float = 1e-10) -> HarmonicEstimate:
+        return self._w(x, tol, self.v_eff_vector, self._tail_bound,
+                       self._w_cache)
 
     def w_value(self, x) -> float:
         return self.w(x).value
@@ -161,22 +149,29 @@ class ConditionedWalkPipeline:
         v_vec = self.v_eff_vector(x[1] + (n_max + 1) * self.sd.max_abs_dy())
         return w_hat_survival(self.sd, x, self.spec, v_vec, n_max)
 
-    def w_star(self, x, tol: float = 1e-10, n_max: int = 4096,
-               barrier_target: float = 1e-16) -> HarmonicEstimate:
-        """Series value with the identity weight u in place of V.
+    def w_star(self, x, tol: float = 1e-10) -> HarmonicEstimate:
+        """W with the identity weight u in place of V.
 
         For a walk whose vertical part is the simple symmetric one this is
         the explicit harmonic function of the counting application.
         """
+        return self._w(x, tol, lambda height: np.arange(height + 1.0),
+                       self._tail_bound_linear, self._w_star_cache)
+
+    def _w(self, x, tol, weights, tail_bound, cache) -> HarmonicEstimate:
+        """Estimate at x from ``cache``, keyed by (point, tol).
+
+        A miss fills in x's whole ``w_rect`` rectangle, with the weight
+        vector ``weights(max_height)``; each estimate there equals the one a
+        query at its own point would compute.
+        """
         x = (int(x[0]), int(x[1]))
-        if self._tail_bound_linear is None:
-            self._tail_bound_linear = make_tail_bound(self.sd, 1.0)
-        L = auto_barrier(self.sd, x, barrier_target)
-        height = x[1] + (n_max + 1) * self.sd.max_abs_dy()
-        v_vec = np.arange(height + 1, dtype=float)
-        return w_series(self.sd, x, self.spec, v_vec,
-                        self._tail_bound_linear, n_max=n_max, tol=tol,
-                        barrier=L)
+        if (x, tol) not in cache:
+            L = auto_barrier(self.sd, x, BARRIER_TARGET)
+            v = weights(x[1] + (N_MAX + 1) * self.sd.max_abs_dy())
+            rect = w_rect(self.sd, x, self.spec, v, tail_bound, tol, N_MAX, L)
+            cache.update(((y, tol), est) for y, est in rect.items())
+        return cache[x, tol]
 
     # -- lattice helpers -----------------------------------------------------
 

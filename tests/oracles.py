@@ -8,12 +8,15 @@ import itertools
 import math
 
 
-def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1):
+def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1,
+                    barrier=None):
     """Walk every |atoms|^n path explicitly.
 
     atoms: list of (dx, dy, prob).  Returns (survival probability,
     {endpoint: probability}, {endpoint: path count}) where survival means
     every intermediate and final position respects the kill predicates.
+    Once a path stands right of column ``barrier`` it keeps only the
+    vertical kill for the rest of its steps.
     """
     surv = 0.0
     endpoint_prob = {}
@@ -22,14 +25,16 @@ def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1):
         a, b = x
         p = 1.0
         ok = True
+        crossed = False
         for i in combo:
             dx, dy, w = atoms[i]
             a += dx
             b += dy
             p *= w
-            if (kill_x1 and a < threshold) or (kill_x2 and b < threshold):
+            if (kill_x1 and not crossed and a < threshold) or (kill_x2 and b < threshold):
                 ok = False
                 break
+            crossed = crossed or (barrier is not None and a > barrier)
         if ok:
             surv += p
             endpoint_prob[(a, b)] = endpoint_prob.get((a, b), 0.0) + p
@@ -55,8 +60,13 @@ def count_states(steps, x, n, threshold=1):
     return cur
 
 
-def direct_renewal_series(pmf, U, kmax=200, strict_lt=False, indicator_gt=False):
+def direct_renewal_series(pmf, U, kmax=None, strict_lt=False, indicator_gt=False):
     """Literal renewal series from the definition, truncated at kmax terms.
+
+    With kmax=None the sum runs until no partial sum at most U + 1 keeps a
+    probability above 1e-18.  A fixed cut drops sum_{k>kmax} P(Z_k <= u),
+    which a lazy law keeps large: 3e-9 at u = 8, kmax = 200 for the weak
+    ladder law {0: 5/6, 1: 1/6}.
 
     V-style: 1_{u>=0} + sum_{k=1..kmax} P(Z_k <= u)
     H-style (strict_lt=True, indicator_gt=True):
@@ -66,7 +76,9 @@ def direct_renewal_series(pmf, U, kmax=200, strict_lt=False, indicator_gt=False)
     for u in range(U + 1):
         total = (1.0 if (u > 0 or not indicator_gt) else 0.0)
         dist = {0: 1.0}
-        for _ in range(1, kmax + 1):
+        k = 0
+        while dist and (kmax is None or k < kmax):
+            k += 1
             nxt = {}
             for z, pz in dist.items():
                 for j, pj in pmf.items():

@@ -130,7 +130,7 @@ class TestQDensity:
         assert max(vals) - min(vals) < 1e-14
 
     def test_int_q_closed_vs_quadrature(self):
-        closed = int_q(GP, self.CONSTS)
+        closed = int_q(GP, self.CONSTS.kappa, self.CONSTS.kappa_prime)
         assert closed == pytest.approx(int_q_quadrature(GP, self.CONSTS),
                                        abs=1e-10)
 

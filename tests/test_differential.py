@@ -20,7 +20,7 @@ from quadwalk.dp import (
     step_measure,
 )
 from quadwalk.errors import InputError
-from quadwalk.harmonic import _v_weighted_mass, make_tail_bound, w_series
+from quadwalk.harmonic import make_tail_bound, w_rect
 from quadwalk.ladders import BoundaryConvention
 
 from oracles import count_states, enumerate_paths
@@ -239,11 +239,65 @@ def test_emptied_box_stays_on_its_coset():
             want = sum(p for (_, b), p in probs.items() if b == y2)
             assert m.line_sum(y2) == pytest.approx(want, abs=1e-15)
         want = sum(p * v[b] for (_, b), p in probs.items())
-        assert _v_weighted_mass(m, v) == pytest.approx(want, rel=1e-14)
+        lo, d, col = m.vertical_marginal()
+        assert col @ v[lo:lo + d * len(col):d] == pytest.approx(want, rel=1e-14)
     tb = make_tail_bound(sd, 1.0)
-    # tol=0 runs every checkpoint up to n_max
-    exact = w_series(sd, (1, 1), spec, v, tb, n_max=7, tol=0.0)
-    barred = w_series(sd, (1, 1), spec, v, tb, n_max=7, tol=0.0, barrier=4)
+    # tol=0 runs every checkpoint up to n_max; L = 25 is out of reach in 7 steps
+    exact = w_rect(sd, (1, 1), spec, v, tb, 0.0, 7, 25)[(1, 1)]
+    barred = w_rect(sd, (1, 1), spec, v, tb, 0.0, 7, 4)[(1, 1)]
     assert [n for n, _ in barred.history] == [0, 1, 2, 4, 7]
     assert [w for _, w in barred.history] == pytest.approx(
         [w for _, w in exact.history], rel=1e-14)
+
+
+# -- W on a rectangle of starts -----------------------------------------------------
+
+def _check_w_rect(sd, spec, x, n, L, v, oracle_barrier):
+    """Every start of x's rectangle, at every checkpoint, against enumeration."""
+    t = spec.threshold
+    # no width is below a negative tol: every checkpoint up to n_max = n runs
+    rect = w_rect(sd, x, spec, v, make_tail_bound(sd, 1.0), -1.0, n, L)
+    assert set(rect) == {(y1, y2) for y1 in range(x[0], L - sd.max_abs_dx() + 1)
+                         for y2 in range(t, x[1] + 1)}
+    ns = sorted({0, n} | {2 ** k for k in range(n.bit_length())})
+    for y, est in rect.items():
+        assert [k for k, _ in est.history] == ns
+        assert est.n_used == n and est.warned
+        for k, upper in est.history:
+            _, probs, _ = enumerate_paths(sd.atoms, y, k, threshold=t,
+                                          barrier=oracle_barrier)
+            want = sum(p * v[b] for (_, b), p in probs.items())
+            assert upper == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+@st.composite
+def weights(draw, size):
+    """A nonnegative, nondecreasing weight vector of the given length."""
+    steps = draw(st.lists(st.floats(0.0, 3.0), min_size=size, max_size=size))
+    return np.cumsum(steps)
+
+
+@given(small_laws(), st.sampled_from(list(BoundaryConvention)),
+       st.integers(1, 6), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_w_rect_matches_enumeration(sd, conv, n, extra, data):
+    # the oracle applies the barrier rule: right of column L a path keeps
+    # only its vertical kill, as the leaked measure does
+    spec = ExitSpec(conv=conv)
+    x = data.draw(starts(spec.threshold))
+    L = x[0] + sd.max_abs_dx() + extra
+    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy() + 1))
+    _check_w_rect(sd, spec, x, n, L, v, oracle_barrier=L)
+
+
+@given(periodic_laws(dx_cells=(0, 1)), st.sampled_from(list(BoundaryConvention)),
+       st.integers(1, 6), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_w_rect_exact_barrier_matches_enumeration(sd, conv, n, extra, data):
+    # every dx >= 1: a path right of the barrier never comes back, so the
+    # barrier run equals the plain quadrant walk
+    spec = ExitSpec(conv=conv)
+    x = data.draw(starts(spec.threshold))
+    L = x[0] + sd.max_abs_dx() + extra
+    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy() + 1))
+    _check_w_rect(sd, spec, x, n, L, v, oracle_barrier=None)

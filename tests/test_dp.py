@@ -16,7 +16,6 @@ from quadwalk.dp import (
     chernoff_gamma,
     count_line,
     count_paths,
-    half_plane_local,
     half_plane_survival,
     local_prob,
     run_dp,
@@ -111,15 +110,17 @@ class TestKnownValues:
 
     def test_half_plane_local_examples(self):
         sd = singular_steps()
-        assert half_plane_local(sd, (0, 1), (1, 2), 1) == pytest.approx(1 / 3, abs=1e-15)
+        upper = ExitSpec(region=Region.UPPER_HALF_PLANE)
+        assert local_prob(sd, (0, 1), (1, 2), 1, upper) == pytest.approx(1 / 3, abs=1e-15)
         # the two-path question: under kill-on-nonpositive the path through
         # (1,0) dies, leaving 1/9; killing on negative keeps it, giving 2/9
-        assert half_plane_local(sd, (0, 1), (2, 1), 2) == pytest.approx(1 / 9, abs=1e-15)
-        assert half_plane_local(
-            sd, (0, 1), (2, 1), 2, BoundaryConvention.KILL_ON_NEGATIVE
+        assert local_prob(sd, (0, 1), (2, 1), 2, upper) == pytest.approx(1 / 9, abs=1e-15)
+        assert local_prob(
+            sd, (0, 1), (2, 1), 2, ExitSpec(region=Region.UPPER_HALF_PLANE,
+                                            conv=BoundaryConvention.KILL_ON_NEGATIVE)
         ) == pytest.approx(2 / 9, abs=1e-15)
         # off-lattice endpoint
-        assert half_plane_local(sd, (0, 1), (1, 1), 2) == 0.0
+        assert local_prob(sd, (0, 1), (1, 1), 2, upper) == 0.0
 
     def test_counting_examples(self):
         sd = singular_steps()

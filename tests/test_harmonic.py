@@ -1,19 +1,23 @@
 """Harmonic function W: brackets, monotonicity, harmonicity, cross-representation."""
 
-import io
-import math
-
 import numpy as np
 import pytest
 
-from quadwalk import ladders, validate_steps
-from quadwalk.dp import ExitSpec
-from quadwalk.harmonic import export_w_grid, make_tail_bound, w_check_harmonic, w_series
+from quadwalk import ladders, pipeline, validate_steps
+from quadwalk.dp import ExitSpec, auto_barrier, run_dp
+from quadwalk.harmonic import make_tail_bound, w_check_harmonic, w_rect
 from quadwalk.pipeline import ConditionedWalkPipeline
 
 
 def pipe_steps():
     return validate_steps([((1, -1), 2.0), ((1, 1), 1.0), ((-1, 1), 1.0)])
+
+
+def down_jump_steps():
+    # aperiodic (d1 = d2 = 1), and a -2 jump from height 1 lands below the
+    # quadrant
+    return validate_steps([((2, -2), 1.0), ((1, 1), 1.0), ((-1, 1), 1.0),
+                           ((1, 0), 1.0)])
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +54,54 @@ class TestSeries:
         spec = ExitSpec()
         v = np.arange(64.0)
         tb = make_tail_bound(sd, 1.0)
-        est = w_series(sd, (1, 5), spec, v, tb, n_max=4)
+        est = w_rect(sd, (1, 5), spec, v, tb, 1e-10, 4, 2)[(1, 5)]
         assert est.upper == 0.0
         assert est.value == 0.0
 
-    def test_memo_keyed_on_every_argument(self):
+    def test_cache_keyed_on_point_and_tol(self, monkeypatch):
+        calls = []
+        real = pipeline.w_rect
+        monkeypatch.setattr(pipeline, "w_rect",
+                            lambda *a: calls.append(a[1]) or real(*a))
         fresh = ConditionedWalkPipeline.build(pipe_steps()).w((3, 3))
         used = ConditionedWalkPipeline.build(pipe_steps())
-        short = used.w((3, 3), n_max=16)
-        assert short.n_used == 16
+        loose = used.w((3, 3), 1e-4)
+        assert loose.n_used < fresh.n_used
         again = used.w((3, 3))
-        assert again.n_used == fresh.n_used
-        assert again.value == fresh.value
+        assert again == fresh
+        used.w((4, 2))  # in the rectangle of (3, 3): no further pass
+        assert calls == [(3, 3), (3, 3), (3, 3)]
+
+    @pytest.mark.parametrize("steps", [pipe_steps, down_jump_steps])
+    def test_filled_estimate_equals_first_query(self, steps):
+        # (3, 2) is filled in by the pass for (1, 5), and must come out
+        # exactly as when it is the first point asked for
+        first = ConditionedWalkPipeline.build(steps())
+        filled = ConditionedWalkPipeline.build(steps())
+        filled.w((1, 5))
+        filled.w_star((1, 5))
+        assert ((3, 2), 1e-10) in filled._w_cache
+        assert ((3, 2), 1e-10) in filled._w_star_cache
+        assert filled.w((3, 2)) == first.w((3, 2))
+        assert filled.w_star((3, 2)) == first.w_star((3, 2))
+
+    @pytest.mark.parametrize("steps", [pipe_steps, down_jump_steps])
+    def test_matches_forward_run_under_the_same_barrier(self, steps):
+        # the forward DP with the same barrier, V-weighted at the end, at
+        # every checkpoint of the history
+        p = ConditionedWalkPipeline.build(steps())
+        height = 100 + 4097 * p.sd.max_abs_dy()
+        for x in ((1, 1), (2, 5), (5, 2), (100, 8)):
+            L = auto_barrier(p.sd, x, 1e-16)
+            for est, v in ((p.w(x), p.v_eff_vector(height)),
+                           (p.w_star(x), np.arange(height + 1.0))):
+                ns = [n for n, _ in est.history]
+                assert ns == [0] + [2 ** k for k in range(len(ns) - 1)]
+                ms = run_dp(p.sd, x, p.spec, ns[-1], snapshots=ns, barrier=L)
+                for n, upper in est.history:
+                    lo, d, col = ms[n].vertical_marginal()
+                    want = col @ v[lo:lo + d * len(col):d]
+                    assert upper == pytest.approx(want, rel=1e-13)
 
     def test_build_computes_the_weak_ladder_once(self, monkeypatch):
         calls = []
@@ -115,11 +155,8 @@ class TestHatRepresentation:
             assert pipe.w_hat(x, n) == pytest.approx(hist[n], rel=1e-9)
 
     def test_matches_series_when_down_jump_passes_zero(self):
-        # a -2 jump from height 1 lands below the quadrant; the Doob weight
-        # must only be read at surviving heights
-        sd = validate_steps([((2, -2), 1.0), ((1, 1), 1.0), ((-1, 1), 1.0),
-                             ((1, 0), 1.0)])
-        wpipe = ConditionedWalkPipeline.build(sd)
+        # the Doob weight must only be read at surviving heights
+        wpipe = ConditionedWalkPipeline.build(down_jump_steps())
         hist = dict(wpipe.w((1, 1)).history)
         assert 64 in hist
         assert wpipe.w_hat((1, 1), 64) == pytest.approx(hist[64], rel=1e-9)
@@ -143,7 +180,7 @@ class TestWStar:
         sd = validate_steps([((1, -1), 1.0), ((1, 1), 1.0)])
         v = np.arange(600.0)
         tb = make_tail_bound(sd, 1.0)
-        est = w_series(sd, (3, 5), ExitSpec(), v, tb, n_max=256)
+        est = w_rect(sd, (3, 5), ExitSpec(), v, tb, 1e-10, 256, 4)[(3, 5)]
         assert est.value == pytest.approx(5.0, abs=1e-10)
         assert est.width <= 1e-9
 
@@ -157,14 +194,3 @@ class TestWStar:
         est = pipe.w_star((80, 80))
         assert est.value / 80.0 == pytest.approx(1.0, abs=1e-3)
 
-
-def test_export_w_grid(pipe):
-    grid = {(x1, x2): pipe.w((x1, x2)) for x1 in (1, 2) for x2 in (1, 2)}
-    buf = io.StringIO()
-    export_w_grid(grid, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x1,x2,lower,value,upper,n_used"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[1] == "1"
-    assert float(first[2]) <= float(first[3]) <= float(first[4])
