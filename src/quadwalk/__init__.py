@@ -10,7 +10,6 @@ from .asymptotics import (
     predict_integral,
     predict_line,
     predict_llt,
-    predict_llt_halfplane,
     predict_tail,
     q_density,
     qbar,
@@ -35,7 +34,6 @@ from .ladders import (
     RenewalTable,
     ascending_ladder,
     descending_ladder,
-    harmonic_defect_V,
     kappa,
     renewal_H,
     renewal_V,

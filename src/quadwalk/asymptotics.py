@@ -51,12 +51,10 @@ __all__ = [
     "predict_tail",
     "predict_integral",
     "predict_llt",
-    "predict_llt_halfplane",
     "predict_boundary_llt",
     "predict_line",
     "VerifyRow",
     "verify",
-    "rows_to_csv",
 ]
 
 QUAD_EPSABS = 1e-10
@@ -209,14 +207,6 @@ def predict_llt(y, n: int, d1: int, d2: int, kappa: float, W: float,
     return d1 * d2 * kappa * W * density_p(z, gp) / n ** 1.5
 
 
-def predict_llt_halfplane(y, n: int, d1: int, d2: int, kappa: float,
-                          V_x2: float, mu, gp: GaussParams) -> float:
-    """kappa d1 d2 p((y - n mu)/sqrt(n)) V(x2) / n^{3/2}."""
-    s = math.sqrt(n)
-    z = ((y[0] - n * mu[0]) / s, (y[1] - n * mu[1]) / s)
-    return kappa * d1 * d2 * density_p(z, gp) * V_x2 / n ** 1.5
-
-
 def predict_boundary_llt(y, n: int, d1: int, d2: int, H_y2: float, W: float,
                          mu1: float, gp: GaussParams,
                          consts: AsymptoticConstants) -> float:
@@ -249,13 +239,6 @@ def _row(tid, n, measured, predicted, err=0.0) -> VerifyRow:
                      predicted=predicted, ratio=ratio, dp_error_bound=err)
 
 
-def rows_to_csv(rows, fh) -> None:
-    fh.write("theorem_id,n,measured,predicted,ratio,dp_error_bound\n")
-    for r in rows:
-        fh.write(f"{r.theorem_id},{r.n},{r.measured!r},{r.predicted!r},"
-                 f"{r.ratio!r},{r.dp_error_bound!r}\n")
-
-
 DEFAULT_WINDOWS = ((-1.0, 0.0), (-0.5, 0.0), (-1.0, 0.5), (-0.5, 0.5))
 
 
@@ -265,7 +248,9 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     """Compare exact DP values against the matching predictor.
 
     Returns one row per (n, point); lattice-infeasible requests are skipped
-    with a note appended to ``notes`` (a list, when supplied).
+    with a note appended to ``notes`` (a list, when supplied).  Every n in
+    ``n_schedule`` must be positive.  ``llt-half`` kills on x2 only, and its
+    prediction is ``predict_llt`` with V(x2) in place of W.
     """
     from . import dp as dpmod
 
@@ -274,6 +259,8 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
             notes.append(msg)
 
     schedule = sorted(set(int(n) for n in n_schedule))
+    if schedule and schedule[0] <= 0:
+        raise InputError(f"schedule entries must be positive, got {schedule[0]}")
     if not schedule:
         return []
     rows: list[VerifyRow] = []
@@ -321,16 +308,10 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
                 if not pipe.feasible(x, n, yy):
                     note(f"n={n}: y={yy} not in the reachable lattice; skipped")
                     continue
-            measured = m.local(yy)
-            if half:
-                pred = predict_llt_halfplane(yy, n, pipe.lattice.d1,
-                                             pipe.lattice.d2,
-                                             pipe.consts.kappa, W, mu, gp)
-            else:
-                pred = predict_llt(yy, n, pipe.lattice.d1, pipe.lattice.d2,
-                                   pipe.consts.kappa, W, mu, gp)
+            pred = predict_llt(yy, n, pipe.lattice.d1, pipe.lattice.d2,
+                               pipe.consts.kappa, W, mu, gp)
             rows.append(_row(f"{theorem_id}(y={yy[0]}:{yy[1]})", n,
-                             measured, pred, m.error_bound()))
+                             m.local(yy), pred, m.error_bound()))
         return rows
 
     if theorem_id == "boundary-llt":

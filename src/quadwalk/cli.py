@@ -185,10 +185,9 @@ def cmd_dp(args):
     if args.what == "count":
         if args.y is None:
             raise InputError("dp count needs --y")
-        c = dp.count_paths(sd, args.x, args.y, args.n,
-                           threshold=spec.threshold)
+        c = dp.count_paths(sd, args.x, args.y, args.n, spec)
         return Table(["count"], [[str(c)]], scalar_key="count")
-    c = dp.count_line(sd, args.x, args.n, threshold=spec.threshold)
+    c = dp.count_line(sd, args.x, args.n, spec=spec)
     return Table(["count"], [[str(c)]], scalar_key="count")
 
 

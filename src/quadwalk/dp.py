@@ -16,7 +16,10 @@ the walk ever returning, gamma the positive root of E[exp(-gamma X1)] = 1.
 
 The half-plane survival runs the same kernel on the vertical marginal, and
 exact path counts run it on an object array of Python integers (no prune,
-no barrier), each on the same coset storage.
+no barrier), each on the same coset storage.  Every run kills by its
+``ExitSpec``, the one owner of the kill rule: ``ExitSpec.kill`` names the
+lowest surviving value on each axis the region kills.  Exact path counts
+honour a half-plane region too.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class ExitSpec:
 
     @property
     def threshold(self) -> int:
-        """Lowest surviving coordinate value."""
-        return 1 if self.conv is BoundaryConvention.KILL_ON_NONPOSITIVE else 0
+        """Lowest surviving coordinate value on a killed axis."""
+        return self.conv.threshold
 
     @property
     def kills_x1(self) -> bool:
@@ -74,10 +77,15 @@ class ExitSpec:
     def kills_x2(self) -> bool:
         return self.region in (Region.QUADRANT, Region.UPPER_HALF_PLANE)
 
+    @property
+    def kill(self) -> tuple[int | None, int | None]:
+        """Per-axis lowest surviving value, None on an axis never killed."""
+        t = self.threshold
+        return (t if self.kills_x1 else None, t if self.kills_x2 else None)
+
     def contains(self, x) -> bool:
         """Whether the point x lies inside the survival region."""
-        t = self.threshold
-        return not (self.kills_x1 and x[0] < t or self.kills_x2 and x[1] < t)
+        return all(k is None or c >= k for c, k in zip(x, self.kill))
 
 
 def _coset_index(y: int, lo: int, d: int, size: int) -> int | None:
@@ -208,12 +216,6 @@ class QuadrantMeasure:
             box.append(slice(i0, i1))
         return float(self.cells[tuple(box)].sum())
 
-    def to_csv(self, fh) -> None:
-        fh.write("x1,x2,weight\n")
-        d1, d2 = self.stride
-        for i, j in np.argwhere(self.cells > 0):
-            fh.write(f"{self.lo1 + d1 * i},{self.lo2 + d2 * j},{self.cells[i, j]!r}\n")
-
 
 def chernoff_gamma(sd: StepDistribution) -> float:
     """Positive root gamma of E[exp(-gamma X1)] = 1; inf if X1 >= 0 a.s."""
@@ -255,8 +257,7 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
         raise BarrierError(
             f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx()}"
         )
-    t = m.spec.threshold
-    kill = (t if m.spec.kills_x1 else None, t if m.spec.kills_x2 else None)
+    kill = m.spec.kill
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
     new, (lo1, lo2), cuts, drop = _kill_step(m.cells, (m.lo1, m.lo2),
                                              sd.atoms, kill, stride)
@@ -295,12 +296,12 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
 
 
 def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
-           snapshots=(), barrier: int | str | None = None,
-           barrier_target: float = 1e-12) -> dict[int, QuadrantMeasure]:
+           snapshots=(), barrier: int | str | None = None
+           ) -> dict[int, QuadrantMeasure]:
     """Propagate n_max steps, returning the measures at the snapshot times.
 
-    ``barrier='auto'`` sizes the barrier so the error bound is below
-    ``barrier_target``; ``barrier=None`` keeps the exact joint measure.
+    ``barrier='auto'`` sizes the barrier by ``auto_barrier`` so the error
+    bound is below 1e-12; ``barrier=None`` keeps the exact joint measure.
     """
     if n_max < 0:
         raise InputError("n must be >= 0")
@@ -310,7 +311,7 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
         if not spec.kills_x1:
             raise InputError("a barrier only makes sense with a horizontal kill")
         gamma = chernoff_gamma(sd)
-        L = auto_barrier(sd, x, barrier_target) if barrier == "auto" else int(barrier)
+        L = auto_barrier(sd, x) if barrier == "auto" else int(barrier)
         if L < sd.max_abs_dx():
             raise BarrierError(f"barrier {L} smaller than max |dx|")
     m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=gamma)
@@ -326,13 +327,11 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
 
 
 def survival_prob(sd: StepDistribution, x, n: int, spec: ExitSpec,
-                  barrier: int | str | None = "auto",
-                  barrier_target: float = 1e-12) -> tuple[float, float]:
+                  barrier: int | str | None = "auto") -> tuple[float, float]:
     """(P(exit time > n), error bound)."""
     if not spec.kills_x1:
         barrier = None
-    m = run_dp(sd, x, spec, n, snapshots={n}, barrier=barrier,
-               barrier_target=barrier_target)[n]
+    m = run_dp(sd, x, spec, n, snapshots={n}, barrier=barrier)[n]
     return m.survival(), m.error_bound()
 
 
@@ -348,7 +347,7 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     """P(tau_x > n): exact 1-D dynamic program, no barrier needed."""
     if n < 0:
         raise InputError("n must be >= 0")
-    kill = (ExitSpec(conv=conv).threshold,)
+    kill = (conv.threshold,)
     if x2 < kill[0]:
         raise InputError(f"start height {x2} is outside the region")
     atoms = sorted(sd.vertical_pmf().items())
@@ -359,8 +358,8 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     return float(alive.sum())
 
 
-def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):
-    """Exact integer path counts after n steps (quadrant kill).
+def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
+    """Exact integer path counts after n steps, killed as ``spec`` kills.
 
     Returns (counts, (lo1, lo2), (d1, d2)): an object array of Python ints
     over the bounding box of the reachable states on their coset,
@@ -369,31 +368,32 @@ def _count_run(sd: StepDistribution, x, n: int, threshold: int = 1):
     if n < 0:
         raise InputError("n must be >= 0")
     lo = (int(x[0]), int(x[1]))
-    if min(lo) < threshold:
+    if not spec.contains(lo):
         raise InputError(f"start {x} is not inside the survival region")
     atoms = [(dx, dy, 1) for dx, dy, _ in sd.atoms]
     stride = _stride(atoms)
     counts = np.ones((1, 1), dtype=object)
     for _ in range(n):
-        counts, lo, _, _ = _kill_step(counts, lo, atoms, (threshold, threshold),
-                                      stride, prune=0)
+        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride,
+                                      prune=0)
     return counts, lo, stride
 
 
-def count_paths(sd: StepDistribution, x, y, n: int, threshold: int = 1) -> int:
-    """Exact number of n-step paths x -> y staying inside the quadrant."""
-    counts, (lo1, lo2), (d1, d2) = _count_run(sd, x, n, threshold)
+def count_paths(sd: StepDistribution, x, y, n: int,
+                spec: ExitSpec = ExitSpec()) -> int:
+    """Exact number of n-step paths x -> y staying inside ``spec``'s region."""
+    counts, (lo1, lo2), (d1, d2) = _count_run(sd, x, n, spec)
     i = _coset_index(int(y[0]), lo1, d1, counts.shape[0])
     j = _coset_index(int(y[1]), lo2, d2, counts.shape[1])
     return 0 if i is None or j is None else counts[i, j]
 
 
 def count_line(sd: StepDistribution, x, n: int, y2: int = 1,
-               threshold: int = 1) -> int:
-    """M_n(x): paths of length n from x ending on the line x2 = y2.
+               spec: ExitSpec = ExitSpec()) -> int:
+    """M_n(x): paths of length n from x inside ``spec``'s region ending on x2 = y2.
 
     M_0(x) = 1 when x already sits on the line (empty path), else 0.
     """
-    counts, (_, lo2), (_, d2) = _count_run(sd, x, n, threshold)
+    counts, (_, lo2), (_, d2) = _count_run(sd, x, n, spec)
     j = _coset_index(y2, lo2, d2, counts.shape[1])
     return 0 if j is None else counts[:, j].sum()

@@ -192,19 +192,18 @@ def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
     """V_eff(x2) * Phat(sigma_x > n_max) under the V-transformed kernel.
 
     The kernel Phat(x, y) = V_eff(y2)/V_eff(x2) P(step) is killed on
-    leaving the quadrant; where V_eff vanishes at killed heights only the
-    horizontal kill removes mass.  Algebraically equal to the ``w_rect``
-    upper value at the same n.
+    leaving ``spec``'s region; where V_eff vanishes at killed heights only
+    the horizontal kill removes mass.  For the quadrant it is algebraically
+    equal to the ``w_rect`` upper value at the same n.
     """
     x1, x2 = int(x[0]), int(x[1])
-    t = spec.threshold
     if not spec.contains((x1, x2)):
         raise InputError(f"start {x} is outside the survival region")
     if v_eff[x2] <= 0:
         raise InputError("V_eff vanishes at the starting height")
     A, lo, stride = np.ones((1, 1)), (x1, x2), _stride(sd.atoms)
     for _ in range(n_max):
-        A, lo, _, _ = _kill_step(A, lo, sd.atoms, (t, t), stride, weight=v_eff)
+        A, lo, _, _ = _kill_step(A, lo, sd.atoms, spec.kill, stride, weight=v_eff)
     return float(v_eff[x2] * A.sum())
 
 

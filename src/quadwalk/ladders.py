@@ -46,7 +46,6 @@ __all__ = [
     "renewal_V",
     "renewal_H",
     "kappa",
-    "harmonic_defect_V",
     "harmonicity_residual",
     "resolve_convention",
     "ConventionReport",
@@ -66,6 +65,11 @@ class BoundaryConvention(enum.Enum):
     KILL_ON_NONPOSITIVE = "nonpositive"
     KILL_ON_NEGATIVE = "negative"
 
+    @property
+    def threshold(self) -> int:
+        """Lowest surviving coordinate value."""
+        return 1 if self is BoundaryConvention.KILL_ON_NONPOSITIVE else 0
+
 
 @dataclass(frozen=True)
 class LadderDist:
@@ -74,7 +78,6 @@ class LadderDist:
     pmf: dict[int, float]
     truncation_error: float  # signed: 1 - total mass, negative by rounding
     mean: float
-    kind: str = ""  # "weak-descending" | "strict-descending" | "strict-ascending"
 
     def max_value(self) -> int:
         return max(self.pmf) if self.pmf else 0
@@ -84,7 +87,6 @@ class LadderDist:
 class RenewalTable:
     """Tabulated renewal function on integers 0..U."""
 
-    kind: str  # "V" or "H"
     values: np.ndarray
     U: int
 
@@ -170,14 +172,13 @@ class CrossingSolver:
         return np.clip(X, 0.0, 1.0)  # rounding only, at most MASS_TOL
 
 
-def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
-                   max_steps: int, exact_tail: bool, kind: str = "",
-                   start: int = 0) -> LadderDist:
+def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention,
+                   tol: float, max_steps: int, exact_tail: bool) -> LadderDist:
     """Absorbing iteration for the descending ladder of the walk with law ``pmf``.
 
-    Weak (strict=False): absorb on position <= 0, overshoot -pos >= 0.
-    Strict: absorb on position < 0, overshoot -pos >= 1.
-    Returns the overshoot law of the walk started at height ``start``.
+    The walk starts at 0 and is absorbed below ``conv.threshold``: weak
+    (KILL_ON_NONPOSITIVE) on position <= 0, overshoot -pos >= 0; strict
+    (KILL_ON_NEGATIVE) on position < 0, overshoot -pos >= 1.
     """
     mean = math.fsum(v * p for v, p in pmf.items())
     if abs(mean) > 1e-10:
@@ -188,10 +189,9 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
     if vals[-1] <= 0:
         raise DegenerateSupportError("walk has no up steps: absorption trivial")
     atoms = sorted(pmf.items())
-    kill = 0 if strict else 1         # lowest alive height
+    kill = conv.threshold             # lowest alive height
     absorbed = np.zeros(1 - vals[0])  # index = overshoot -pos
-    # a start at height 0 may be absorbed by the first step
-    alive, lo = np.ones(1), (start,)
+    alive, lo = np.ones(1), (0,)
     dropped = 0.0
     steps = 0
     while True:
@@ -205,14 +205,12 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
         if rest <= tol:
             break
         if exact_tail and steps >= COMPLETION_AFTER:
+            # the solver absorbs on <= 0: shift heights by 1 - kill, and
+            # its overshoot j is the ladder's overshoot j + 1 - kill
             solver = CrossingSolver(pmf)
-            heights = np.arange(lo[0], lo[0] + len(alive))
-            if strict:
-                X = solver.overshoot_matrix(heights + 1)
-                absorbed[1:solver.d + 1] += alive @ X
-            else:
-                X = solver.overshoot_matrix(np.maximum(heights, 1))
-                absorbed[:solver.d] += alive @ X
+            heights = np.arange(lo[0], lo[0] + len(alive)) + 1 - kill
+            absorbed[1 - kill:1 - kill + solver.d] += (
+                alive @ solver.overshoot_matrix(heights))
             break
         if steps >= max_steps:
             partial = {j: float(m) for j, m in enumerate(absorbed) if m > 0}
@@ -229,7 +227,7 @@ def _ladder_engine(pmf: dict[int, float], strict: bool, tol: float,
             f"ladder mass exceeds 1 by {-residual:.3e} (tolerance {MASS_TOL:.0e})",
             residual=residual, partial=out)
     return LadderDist(pmf=out, truncation_error=residual,
-                      mean=math.fsum(j * p for j, p in out.items()), kind=kind)
+                      mean=math.fsum(j * p for j, p in out.items()))
 
 
 def descending_ladder(sd: StepDistribution,
@@ -241,10 +239,7 @@ def descending_ladder(sd: StepDistribution,
     KILL_ON_NONPOSITIVE gives the weak ladder (-S2 at the first time
     S2 <= 0, overshoot 0 allowed); KILL_ON_NEGATIVE the strict one.
     """
-    strict = conv is BoundaryConvention.KILL_ON_NEGATIVE
-    kind = "strict-descending" if strict else "weak-descending"
-    return _ladder_engine(sd.vertical_pmf(), strict, tol, max_steps,
-                          exact_tail, kind)
+    return _ladder_engine(sd.vertical_pmf(), conv, tol, max_steps, exact_tail)
 
 
 def ascending_ladder(sd: StepDistribution, tol: float = 1e-10,
@@ -255,8 +250,8 @@ def ascending_ladder(sd: StepDistribution, tol: float = 1e-10,
     Computed as the strict descending ladder of the reflected walk.
     """
     pmf = {-v: p for v, p in sd.vertical_pmf().items()}
-    return _ladder_engine(pmf, True, tol, max_steps, exact_tail,
-                          "strict-ascending")
+    return _ladder_engine(pmf, BoundaryConvention.KILL_ON_NEGATIVE, tol,
+                          max_steps, exact_tail)
 
 
 def _conditioned_positive(ld: LadderDist):
@@ -279,6 +274,8 @@ def _renewal_mass(pos: np.ndarray, U: int) -> np.ndarray:
     only on the earlier ones, so a longer table repeats a shorter one
     exactly.
     """
+    if U < 0:
+        raise InputError(f"renewal table size must be >= 0, got {U}")
     steps = [(j, float(p)) for j, p in enumerate(pos) if j and p]
     u = [1.0] + [0.0] * U
     for k in range(1, U + 1):
@@ -302,7 +299,7 @@ def renewal_V(ld: LadderDist, U: int) -> RenewalTable:
         raise InputError("weak ladder mean must be positive for V")
     p0, pos = _conditioned_positive(ld)
     S = np.cumsum(_renewal_mass(pos, U))
-    return RenewalTable(kind="V", values=S / (1.0 - p0), U=U)
+    return RenewalTable(values=S / (1.0 - p0), U=U)
 
 
 def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
@@ -315,9 +312,8 @@ def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
         arr[j] = p
     # for u >= 1 the k = 0 term P(Z_0 < u) is the indicator, and
     # P(Z_k < u) = P(Z_k <= u-1): the renewal CDF shifted right by one
-    H = np.zeros(U + 1)
-    H[1:] = np.cumsum(_renewal_mass(arr, U))[:U]
-    return RenewalTable(kind="H", values=H, U=U)
+    H = np.cumsum(_renewal_mass(arr, U))[:U]
+    return RenewalTable(values=np.concatenate(([0.0], H)), U=U)
 
 
 def kappa(ld: LadderDist) -> float:
@@ -325,29 +321,19 @@ def kappa(ld: LadderDist) -> float:
     return SQRT_2_OVER_PI * ld.mean
 
 
-def harmonic_defect_V(sd: StepDistribution, x2: int,
-                      conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
-                      ) -> float:
-    """x2 - E[x2 + S2(tau)] for the vertical walk absorbed at the boundary.
-
-    This is the standard alternative harmonic function of the killed walk:
-    x2 plus the mean overshoot of the ladder iteration started at x2, its
-    alive remainder completed exactly through the crossing solver.
-    """
-    if x2 < 1:
-        raise InputError("x2 must be >= 1")
-    strict = conv is BoundaryConvention.KILL_ON_NEGATIVE
-    return x2 + _ladder_engine(sd.vertical_pmf(), strict, 0.0, COMPLETION_AFTER,
-                               True, start=x2).mean
-
-
 def harmonicity_residual(vert_pmf: dict[int, float], table: np.ndarray,
-                         conv: BoundaryConvention, x2: int) -> float:
-    """|V(x2) - E[V(x2 + X2); survive]| for one kill rule, table indexed 0..U."""
-    t = 0 if conv is BoundaryConvention.KILL_ON_NEGATIVE else 1
-    s = math.fsum(p * table[x2 + dy] for dy, p in vert_pmf.items()
-                  if x2 + dy >= t)
-    return abs(table[x2] - s)
+                         conv: BoundaryConvention, heights) -> float:
+    """Max over x2 in ``heights`` of |f(x2) - E[f(x2 + X2); survive]|.
+
+    ``table[u]`` is f(u) for u = 0..U; a step survives when it lands at or
+    above ``conv.threshold``.
+    """
+    t = conv.threshold
+    return max(
+        abs(table[x2] - math.fsum(p * table[x2 + dy]
+                                  for dy, p in vert_pmf.items()
+                                  if x2 + dy >= t))
+        for x2 in heights)
 
 
 @dataclass(frozen=True)
@@ -375,12 +361,8 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
     ld = descending_ladder(sd)
     maxdy = max(abs(v) for v in pmf)
     table = renewal_V(ld, xmax + maxdy + 1).values
-    residuals = {}
-    for conv in BoundaryConvention:
-        residuals[conv] = max(
-            harmonicity_residual(pmf, table, conv, x2)
-            for x2 in range(1, xmax + 1)
-        )
+    residuals = {conv: harmonicity_residual(pmf, table, conv, range(1, xmax + 1))
+                 for conv in BoundaryConvention}
     passing = [c for c, r in residuals.items() if r <= tol]
     if len(passing) != 1:
         raise ConventionError(
@@ -389,10 +371,9 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
         )
     selected = passing[0]
     rejected = next(c for c in BoundaryConvention if c is not selected)
-    shift = 1 if selected is BoundaryConvention.KILL_ON_NEGATIVE else 0
     return ConventionReport(
         selected=selected,
-        v_shift=shift,
+        v_shift=BoundaryConvention.KILL_ON_NONPOSITIVE.threshold - selected.threshold,
         max_residual_selected=residuals[selected],
         max_residual_rejected=residuals[rejected],
         ladder=ld,

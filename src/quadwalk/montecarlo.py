@@ -49,11 +49,12 @@ class McEstimate:
         return self.mean + self.half_width_95
 
 
-def _survival_count(arrays, x, n, count, threshold, seed, block_idx) -> int:
+def _survival_count(arrays, x, n, count, seed, block_idx) -> int:
     """Paths of one block alive after n steps.
 
     ``arrays`` is (cum, shifts): the atoms' cumulative weights and, per
-    killed axis, the atoms' shift on it; ``x`` is the start on those axes.
+    killed axis, the atoms' shift on it; ``x`` is the start on those axes,
+    measured from the axis' lowest surviving value, so a path dies below 0.
     """
     cum, shifts = arrays
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_idx], dtype=np.uint64)
@@ -66,7 +67,7 @@ def _survival_count(arrays, x, n, count, threshold, seed, block_idx) -> int:
         keep = None
         for p, s in zip(pos, shifts):
             p += s[idx]
-            keep = p >= threshold if keep is None else keep & (p >= threshold)
+            keep = p >= 0 if keep is None else keep & (p >= 0)
         pos = [p[keep] for p in pos]
     return pos[0].size
 
@@ -92,18 +93,16 @@ def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
     atoms = sd.atoms
     cum = np.cumsum([w for _, _, w in atoms])
     cum[-1] = 1.0  # guard the top edge against rounding
-    axes = [i for i, kills in enumerate((spec.kills_x1, spec.kills_x2))
-            if kills]
+    axes = [i for i, k in enumerate(spec.kill) if k is not None]
     shifts = [np.array([atom[i] for atom in atoms], dtype=np.int64)
               for i in axes]
-    x0 = [int(x[i]) for i in axes]
+    x0 = [int(x[i]) - spec.kill[i] for i in axes]
     blocks = list(enumerate(min(BLOCK_SIZE, reps - start)
                             for start in range(0, reps, BLOCK_SIZE)))
 
     def work(item):
         idx, count = item
-        return _survival_count((cum, shifts), x0, n, count, spec.threshold,
-                               seed, idx)
+        return _survival_count((cum, shifts), x0, n, count, seed, idx)
 
     if workers <= 1:
         counts = [work(it) for it in blocks]

@@ -12,6 +12,7 @@ of starts at a time and cached by (point, tol).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,17 @@ DRIFT_TOL = 1e-10
 XMAX_CONVENTION = 50  # heights 1..50 checked for V- and H-harmonicity
 N_MAX = 4096  # last checkpoint of the W iterate
 BARRIER_TARGET = 1e-16  # exp(-gamma (L + 1)) for the W barrier L
+
+
+def _grown(table: RenewalTable | None, U: int, build) -> RenewalTable:
+    """``table`` if it covers 0..U, else ``build(size)``: size >= U, doubled.
+
+    Both renewal tables are prefix-stable (``ladders._renewal_mass``), so a
+    rebuild changes no value, and happens O(log U) times.
+    """
+    if table is not None and table.U >= U:
+        return table
+    return build(max(U, 64, 2 * (table.U if table is not None else 0)))
 
 
 @dataclass
@@ -80,7 +92,12 @@ class ConditionedWalkPipeline:
             _tail_bound=make_tail_bound(sd, 1.0 / (1.0 - chi_minus.pmf.get(0, 0.0))),
             _tail_bound_linear=make_tail_bound(sd, 1.0),
         )
-        pipe.h_residual = pipe._check_h_harmonicity(XMAX_CONVENTION)
+        # H must be harmonic for the reversed vertical walk killed on <= 0
+        pmf = {-v: p for v, p in sd.vertical_pmf().items()}
+        table = pipe._ensure_H(XMAX_CONVENTION + max(map(abs, pmf)) + 1).values
+        pipe.h_residual = ladders.harmonicity_residual(
+            pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE,
+            range(1, XMAX_CONVENTION + 1))
         if pipe.h_residual > 1e-9:
             raise ladders.ConventionError(
                 f"H fails reversed-walk harmonicity: residual {pipe.h_residual:.3e}"
@@ -90,16 +107,11 @@ class ConditionedWalkPipeline:
     # -- renewal tables ----------------------------------------------------
 
     def _ensure_V(self, U: int) -> RenewalTable:
-        # grow by doubling: V(u) does not depend on the table length, so the
-        # table is rebuilt O(log U) times rather than for every new height
-        if self._V is None or self._V.U < U:
-            old = 0 if self._V is None else self._V.U
-            self._V = ladders.renewal_V(self.chi_minus, max(U, 64, 2 * old))
+        self._V = _grown(self._V, U, partial(ladders.renewal_V, self.chi_minus))
         return self._V
 
     def _ensure_H(self, U: int) -> RenewalTable:
-        if self._H is None or self._H.U < U:
-            self._H = ladders.renewal_H(self.chi_plus, max(U, 64))
+        self._H = _grown(self._H, U, partial(ladders.renewal_H, self.chi_plus))
         return self._H
 
     def V(self, u: int) -> float:
@@ -123,17 +135,6 @@ class ConditionedWalkPipeline:
         out = np.zeros(max_height + 1)
         out[shift:] = values[:max_height + 1 - shift]
         return out
-
-    def _check_h_harmonicity(self, xmax: int) -> float:
-        """H must be harmonic for the reversed vertical walk killed on <= 0."""
-        pmf = {-v: p for v, p in self.sd.vertical_pmf().items()}
-        maxdy = max(abs(v) for v in pmf)
-        table = self._ensure_H(xmax + maxdy + 1).values
-        return max(
-            ladders.harmonicity_residual(
-                pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE, y)
-            for y in range(1, xmax + 1)
-        )
 
     # -- harmonic function W -------------------------------------------------
 

@@ -85,30 +85,17 @@ class StepDistribution:
 
 @dataclass(frozen=True)
 class Moments:
-    """First moment and central covariance of a step law."""
+    """Mean, variances (sigma11, sigma22) and covariance rho of a step law."""
 
-    mu: tuple[float, float]
-    sigma: tuple[tuple[float, float], float]  # ((sig1^2, sig2^2), rho)
-
-    @property
-    def mu1(self) -> float:
-        return self.mu[0]
-
-    @property
-    def mu2(self) -> float:
-        return self.mu[1]
+    mu1: float
+    mu2: float
+    sigma11: float
+    sigma22: float
+    rho: float
 
     @property
-    def sigma11(self) -> float:
-        return self.sigma[0][0]
-
-    @property
-    def sigma22(self) -> float:
-        return self.sigma[0][1]
-
-    @property
-    def rho(self) -> float:
-        return self.sigma[1]
+    def mu(self) -> tuple[float, float]:
+        return (self.mu1, self.mu2)
 
 
 @dataclass(frozen=True)
@@ -170,12 +157,7 @@ def compute_moments(sd: StepDistribution) -> Moments:
     s11 = math.fsum((dx - m1) ** 2 * w for dx, _, w in sd.atoms)
     s22 = math.fsum((dy - m2) ** 2 * w for _, dy, w in sd.atoms)
     s12 = math.fsum((dx - m1) * (dy - m2) * w for dx, dy, w in sd.atoms)
-    return Moments(mu=(m1, m2), sigma=((s11, s22), s12))
-
-
-def _phi(sd: StepDistribution, h) -> float:
-    h1, h2 = h
-    return math.fsum(w * math.exp(h1 * dx + h2 * dy) for dx, dy, w in sd.atoms)
+    return Moments(mu1=m1, mu2=m2, sigma11=s11, sigma22=s22, rho=s12)
 
 
 def tilt(sd: StepDistribution, h) -> tuple[StepDistribution, TiltParams]:
@@ -261,7 +243,7 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
         raise InfeasibleDriftError(
             f"target drift {tuple(target)} not reached: residual {res:.3e}"
         )
-    return TiltParams(h=(float(h[0]), float(h[1])), phi=_phi(sd, h))
+    return tilt(sd, h)[1]
 
 
 def _stride(atoms) -> tuple[int, ...]:

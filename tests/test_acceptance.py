@@ -207,10 +207,10 @@ def test_criterion_08_llt(pipe, full_snaps, half_snaps):
                                pipe.consts.kappa, W, mu, pipe.gauss)
         errs_q[n] = abs(meas / pred - 1.0)
         meas_h = half_snaps[n].local(y)
-        pred_h = asy.predict_llt_halfplane(y, n, pipe.lattice.d1,
-                                           pipe.lattice.d2,
-                                           pipe.consts.kappa,
-                                           pipe.v_eff(X0[1]), mu, pipe.gauss)
+        # the half-plane prediction is the quadrant one with V(x2) for W
+        pred_h = asy.predict_llt(y, n, pipe.lattice.d1, pipe.lattice.d2,
+                                 pipe.consts.kappa, pipe.v_eff(X0[1]), mu,
+                                 pipe.gauss)
         errs_h[n] = abs(meas_h / pred_h - 1.0)
     assert errs_q[1024] <= 0.10 and errs_q[1024] < errs_q[256]
     assert errs_h[1024] <= 0.10 and errs_h[1024] < errs_h[256]

@@ -17,7 +17,6 @@ from quadwalk.asymptotics import (
     predict_integral,
     predict_line,
     predict_llt,
-    predict_llt_halfplane,
     predict_tail,
     q_density,
     qbar,
@@ -213,14 +212,3 @@ class TestVerifyHarness:
         rows = verify("line", pipe, n_schedule=(64, 128))
         for r in rows:
             assert r.ratio == pytest.approx(1.0, abs=0.05)
-
-    def test_rows_to_csv(self, pipe):
-        import io
-
-        from quadwalk.asymptotics import rows_to_csv
-        rows = verify("qbar", pipe)
-        buf = io.StringIO()
-        rows_to_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "theorem_id,n,measured,predicted,ratio,dp_error_bound"
-        assert len(lines) == 6

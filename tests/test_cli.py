@@ -43,6 +43,19 @@ def test_count_golden(capsys, steps_file):
     assert out == "1\n"
 
 
+@pytest.mark.parametrize("region,count,line", [
+    ("quadrant", "0", "1"), ("upper-half", "1", "2"), ("right-half", "1", "3")])
+def test_counts_honour_region(capsys, steps_file, region, count, line):
+    # checked against oracles.enumerate_paths on the uniform law
+    code, out, _ = run_cli(capsys, "--steps", steps_file, "dp", "count",
+                           "--x", "1,1", "--y", "1,1", "--n", "2",
+                           "--region", region)
+    assert (code, out) == (0, count + "\n")
+    code, out, _ = run_cli(capsys, "--steps", steps_file, "dp", "line",
+                           "--x", "1,1", "--n", "2", "--region", region)
+    assert (code, out) == (0, line + "\n")
+
+
 def test_tilt_solve_golden(capsys, steps_file):
     code, out, _ = run_cli(capsys, "--steps", steps_file, "tilt", "solve",
                            "--drift", "0.5,0")
@@ -166,6 +179,24 @@ def test_usage_error_exit_2(capsys, steps_file):
     code, _, _ = run_cli(capsys, "--steps", steps_file, "dp", "bogus",
                          "--x", "1,1", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("schedule", ["--n-schedule=0,16", "--n-schedule=-4,16"])
+def test_verify_nonpositive_n_exit_3(capsys, tilted_file, schedule):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "verify", "tail",
+                             schedule)
+    assert code == 3
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("kind,max_u", [("H", "-3"), ("V", "-1")])
+def test_renewal_negative_size_exit_3(capsys, tilted_file, kind, max_u):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "renewal",
+                             "--kind", kind, f"--max-u={max_u}")
+    assert code == 3
+    assert out == ""
+    assert "size" in err
 
 
 @pytest.mark.parametrize("n", ["0", "5"])

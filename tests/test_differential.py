@@ -66,18 +66,22 @@ def test_run_dp_matches_enumeration(sd, region, conv, n, data):
         assert (m.lo1 + i, m.lo2 + j) in probs
 
 
-@given(small_laws(), st.sampled_from(list(BoundaryConvention)),
-       st.integers(0, 6), st.data())
+@given(small_laws(), st.sampled_from(list(Region)),
+       st.sampled_from(list(BoundaryConvention)), st.integers(0, 6),
+       st.data())
 @settings(max_examples=60, deadline=None)
-def test_counts_match_enumeration(sd, conv, n, data):
-    t = ExitSpec(conv=conv).threshold
+def test_counts_match_enumeration(sd, region, conv, n, data):
+    spec = ExitSpec(region=region, conv=conv)
+    t = spec.threshold
     x = data.draw(starts(t))
-    _, _, counts = enumerate_paths(sd.atoms, x, n, threshold=t)
+    kill_x1, kill_x2 = KILLS[region]
+    _, _, counts = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
+                                   kill_x2=kill_x2, threshold=t)
     for y, c in counts.items():
-        got = count_paths(sd, x, y, n, threshold=t)
+        got = count_paths(sd, x, y, n, spec)
         assert type(got) is int and got == c
-    for y2 in range(t, x[1] + 2 * n + 1):
-        got = count_line(sd, x, n, y2=y2, threshold=t)
+    for y2 in range(x[1] - 2 * n, x[1] + 2 * n + 1):
+        got = count_line(sd, x, n, y2=y2, spec=spec)
         assert type(got) is int
         assert got == sum(c for (_, b), c in counts.items() if b == y2)
 
@@ -122,8 +126,8 @@ def test_periodic_laws_match_enumeration(sd, region, conv, n, data):
     t = spec.threshold
     x = data.draw(starts(t))
     kill_x1, kill_x2 = KILLS[region]
-    surv, probs, _ = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
-                                     kill_x2=kill_x2, threshold=t)
+    surv, probs, counts = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
+                                          kill_x2=kill_x2, threshold=t)
     m = run_dp(sd, x, spec, n, barrier=None)[n]
     assert m.survival() == pytest.approx(surv, abs=1e-13)
     # every point of a box around the reach, on the coset or off it
@@ -147,13 +151,12 @@ def test_periodic_laws_match_enumeration(sd, region, conv, n, data):
         assert m.window_mass(u, mu) == pytest.approx(want, abs=1e-13)
     surv_v, _, _ = enumerate_paths(sd.atoms, x, n, kill_x1=False, threshold=t)
     assert half_plane_survival(sd, x[1], n, conv) == pytest.approx(surv_v, abs=1e-13)
-    _, _, counts = enumerate_paths(sd.atoms, x, n, threshold=t)
     for y1, y2 in list(counts) + [(x[0] + 1, x[1]), (x[0], x[1] + 1)]:
         for y in ((y1, y2), (y1 + 1, y2), (y1, y2 + 1)):
-            got = count_paths(sd, x, y, n, threshold=t)
+            got = count_paths(sd, x, y, n, spec)
             assert type(got) is int and got == counts.get(y, 0)
-    for y2 in range(t, x[1] + r + 1):
-        got = count_line(sd, x, n, y2=y2, threshold=t)
+    for y2 in range(x[1] - r, x[1] + r + 1):
+        got = count_line(sd, x, n, y2=y2, spec=spec)
         assert type(got) is int
         assert got == sum(c for (_, b), c in counts.items() if b == y2)
 

@@ -1,6 +1,5 @@
 """Exact DP against brute-force path enumeration, plus barrier and counting checks."""
 
-import io
 import math
 
 import numpy as np
@@ -210,15 +209,6 @@ class TestBookkeeping:
             for u2 in np.arange(0.0, 8.0, 1.0):
                 total += m.window_mass((u1, u2), mu)
         assert total == pytest.approx(m.survival(), abs=1e-12)
-
-    def test_csv_export(self):
-        sd = singular_steps()
-        m = run_dp(sd, (1, 1), QUAD, 2, barrier=None)[2]
-        buf = io.StringIO()
-        m.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "x1,x2,weight"
-        assert len(lines) > 1
 
     def test_m_repr_reconstruction_small_n(self):
         # M_n(x) = (3 phi)^n e^{h2 (x2-1)} P^{(h)}(x2+S2(n)=1, T_x>n), h=(0,h2*)

@@ -20,7 +20,6 @@ from quadwalk.ladders import (
     LadderDist,
     ascending_ladder,
     descending_ladder,
-    harmonic_defect_V,
     harmonicity_residual,
     kappa,
     renewal_H,
@@ -129,15 +128,13 @@ class TestRenewal:
         assert renewal_V(ld, 4)(-1) == 0.0
 
     def test_V_deterministic(self):
-        ld = LadderDist(pmf={1: 1.0}, truncation_error=0.0, mean=1.0,
-                        kind="weak-descending")
+        ld = LadderDist(pmf={1: 1.0}, truncation_error=0.0, mean=1.0)
         table = renewal_V(ld, 10)
         assert list(table.values) == pytest.approx(
             [u + 1.0 for u in range(11)], abs=1e-12)
 
     def test_V_rejects_zero_mean(self):
-        ld = LadderDist(pmf={0: 1.0}, truncation_error=0.0, mean=0.0,
-                        kind="weak-descending")
+        ld = LadderDist(pmf={0: 1.0}, truncation_error=0.0, mean=0.0)
         with pytest.raises(InputError):
             renewal_V(ld, 5)
 
@@ -150,8 +147,7 @@ class TestRenewal:
         assert renewal_H(ascending_ladder(fair_pm1()), 5)(0) == 0.0
 
     def test_H_deterministic_two(self):
-        ld = LadderDist(pmf={2: 1.0}, truncation_error=0.0, mean=2.0,
-                        kind="strict-ascending")
+        ld = LadderDist(pmf={2: 1.0}, truncation_error=0.0, mean=2.0)
         assert renewal_H(ld, 4)(3) == pytest.approx(2.0, abs=1e-12)
 
     def test_H_series_oracle_up_two(self):
@@ -267,26 +263,12 @@ class TestKappa:
             0.5 * SQ2PI, abs=1e-12)
 
     def test_deterministic(self):
-        ld = LadderDist(pmf={1: 1.0}, truncation_error=0.0, mean=1.0,
-                        kind="weak-descending")
+        ld = LadderDist(pmf={1: 1.0}, truncation_error=0.0, mean=1.0)
         assert kappa(ld) == pytest.approx(SQ2PI, abs=1e-15)
 
     def test_lazy(self):
         assert kappa(descending_ladder(lazy_pm1())) == pytest.approx(
             0.25 * SQ2PI, abs=1e-12)
-
-
-class TestDefect:
-    def test_fair_from_three(self):
-        assert harmonic_defect_V(fair_pm1(), 3) == pytest.approx(3.0, abs=1e-12)
-
-    def test_lazy_from_two(self):
-        assert harmonic_defect_V(lazy_pm1(), 2) == pytest.approx(2.0, abs=1e-12)
-
-    def test_certain_kill_rejected_by_drift(self):
-        sd = validate_steps([((0, -5), 1.0)])
-        with pytest.raises(NonzeroDriftError):
-            harmonic_defect_V(sd, 3)
 
 
 class TestConvention:
@@ -309,8 +291,7 @@ class TestConvention:
         # V(u) = 2(u+1) for the fair walk: harmonic when killing on < 0
         pmf = {-1: 0.5, 1: 0.5}
         table = np.array([2.0 * (u + 1) for u in range(60)])
-        for x2 in range(1, 50):
-            assert harmonicity_residual(
-                pmf, table, BoundaryConvention.KILL_ON_NEGATIVE, x2) < 1e-12
         assert harmonicity_residual(
-            pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE, 1) == pytest.approx(1.0)
+            pmf, table, BoundaryConvention.KILL_ON_NEGATIVE, range(1, 50)) < 1e-12
+        assert harmonicity_residual(
+            pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE, [1]) == pytest.approx(1.0)
