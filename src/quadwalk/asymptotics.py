@@ -248,9 +248,10 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     """Compare exact DP values against the matching predictor.
 
     Returns one row per (n, point); lattice-infeasible requests are skipped
-    with a note appended to ``notes`` (a list, when supplied).  Every n in
-    ``n_schedule`` must be positive.  ``llt-half`` kills on x2 only, and its
-    prediction is ``predict_llt`` with V(x2) in place of W.
+    with a note appended to ``notes`` (a list, when supplied).
+    ``n_schedule`` must be nonempty, with every n positive.  ``llt-half``
+    kills on x2 only, and its prediction is ``predict_llt`` with V(x2) in
+    place of W.
     """
     from . import dp as dpmod
 
@@ -259,10 +260,10 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
             notes.append(msg)
 
     schedule = sorted(set(int(n) for n in n_schedule))
-    if schedule and schedule[0] <= 0:
-        raise InputError(f"schedule entries must be positive, got {schedule[0]}")
     if not schedule:
-        return []
+        raise InputError("the n schedule is empty")
+    if schedule[0] <= 0:
+        raise InputError(f"schedule entries must be positive, got {schedule[0]}")
     rows: list[VerifyRow] = []
     gp = pipe.gauss
     mu = pipe.moments.mu

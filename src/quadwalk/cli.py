@@ -133,13 +133,10 @@ def cmd_tilt_solve(args):
 
 def cmd_ladders(args):
     sd = _load(args)
-    kw = dict(tol=args.tol, exact_tail=not args.no_exact_tail)
-    if args.max_steps is not None:
-        kw["max_steps"] = args.max_steps
     if args.dir == "down":
-        ld = ladders.descending_ladder(sd, conv=_CONV[args.convention], **kw)
+        ld = ladders.descending_ladder(sd, conv=_CONV[args.convention])
     else:
-        ld = ladders.ascending_ladder(sd, **kw)
+        ld = ladders.ascending_ladder(sd)
     print(f"mean={ld.mean!r} truncation_error={ld.truncation_error!r}",
           file=sys.stderr)
     rows = [[v, ld.pmf[v]] for v in sorted(ld.pmf)]
@@ -257,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ladders", help="ladder height distribution")
     sp.add_argument("--dir", choices=("down", "up"), required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-steps", type=int, default=None)
-    sp.add_argument("--no-exact-tail", action="store_true",
-                    help="pure absorbing iteration, no tail completion")
     sp.set_defaults(func=cmd_ladders)
 
     sp = sub.add_parser("renewal", help="renewal function table")

@@ -60,8 +60,3 @@ class NumericError(QuadwalkError):
         super().__init__(message)
         self.residual = residual
         self.partial = partial
-
-
-class ToleranceNotReachedError(NumericError):
-    pass
-

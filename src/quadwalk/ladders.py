@@ -2,20 +2,15 @@
 
 The weak descending ladder height is the nonnegative overshoot -S2 at the
 first time the vertical walk is <= 0; the strict ascending ladder height is
-S2 at the first time it is > 0.  Both are computed by evolving the absorbed
-sub-probability measure of the vertical walk with the package's propagation
-kernel, ``steps._kill_step``, whose killed slices are the overshoots.
-Because the absorption of a driftless walk is heavy tailed in time (the
-surviving mass decays like 1/sqrt(N)), the iteration alone cannot certify
-tolerances like 1e-10; the remaining alive mass is therefore redistributed
-exactly using the bounded solutions of the step recurrence (characteristic
-roots inside the unit disk), which give the crossing law from any height in
-closed form.
+S2 at the first time it is > 0.  Both laws take one step and one closed
+form: a first step that leaves the half-line is its own overshoot, and from
+the height where any other first step lands, ``CrossingSolver`` gives the
+first-entry law through the bounded solutions of the step recurrence
+(characteristic roots inside the unit disk).
 
 The renewal series V built from the weak ladder law satisfies the one-step
 harmonicity identity under exactly one kill rule; ``resolve_convention``
-finds which one and reports the shift needed to pair V with a walk killed
-on nonpositive values.
+finds which one.
 """
 
 from __future__ import annotations
@@ -32,10 +27,9 @@ from .errors import (
     InputError,
     NonzeroDriftError,
     NumericError,
-    ToleranceNotReachedError,
     UnsupportedLatticeError,
 )
-from .steps import StepDistribution, _kill_step
+from .steps import StepDistribution
 
 __all__ = [
     "BoundaryConvention",
@@ -52,8 +46,6 @@ __all__ = [
 ]
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-# Absorbing steps before the alive remainder is completed exactly.
-COMPLETION_AFTER = 512
 # Rounding allowed on a probability or a total mass before it counts as
 # a numeric failure: ladder mass above 1, overshoot laws outside [0, 1].
 MASS_TOL = 1e-12
@@ -172,9 +164,8 @@ class CrossingSolver:
         return np.clip(X, 0.0, 1.0)  # rounding only, at most MASS_TOL
 
 
-def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention,
-                   tol: float, max_steps: int, exact_tail: bool) -> LadderDist:
-    """Absorbing iteration for the descending ladder of the walk with law ``pmf``.
+def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention) -> LadderDist:
+    """Descending ladder of the walk with law ``pmf``: one step, then the solver.
 
     The walk starts at 0 and is absorbed below ``conv.threshold``: weak
     (KILL_ON_NONPOSITIVE) on position <= 0, overshoot -pos >= 0; strict
@@ -188,38 +179,18 @@ def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention,
         raise DegenerateSupportError("walk has no down steps: ladder undefined")
     if vals[-1] <= 0:
         raise DegenerateSupportError("walk has no up steps: absorption trivial")
-    atoms = sorted(pmf.items())
     kill = conv.threshold             # lowest alive height
     absorbed = np.zeros(1 - vals[0])  # index = overshoot -pos
-    alive, lo = np.ones(1), (0,)
-    dropped = 0.0
-    steps = 0
-    while True:
-        steps += 1
-        # unit stride: the cut is read one overshoot per cell
-        alive, lo, (cut,), drop = _kill_step(alive, lo, atoms, (kill,), (1,))
-        # the cut ends at position kill - 1, i.e. overshoot 1 - kill
-        absorbed[1 - kill:1 - kill + len(cut)] += cut[::-1]
-        dropped += float(drop)
-        rest = float(alive.sum())
-        if rest <= tol:
-            break
-        if exact_tail and steps >= COMPLETION_AFTER:
-            # the solver absorbs on <= 0: shift heights by 1 - kill, and
-            # its overshoot j is the ladder's overshoot j + 1 - kill
-            solver = CrossingSolver(pmf)
-            heights = np.arange(lo[0], lo[0] + len(alive)) + 1 - kill
-            absorbed[1 - kill:1 - kill + solver.d] += (
-                alive @ solver.overshoot_matrix(heights))
-            break
-        if steps >= max_steps:
-            partial = {j: float(m) for j, m in enumerate(absorbed) if m > 0}
-            raise ToleranceNotReachedError(
-                f"ladder iteration residual {rest:.3e} > tol {tol:.3e} "
-                f"after {steps} steps",
-                residual=rest + dropped,
-                partial=partial,
-            )
+    for s in vals:
+        if s < kill:
+            absorbed[-s] = pmf[s]  # a first step below kill is the overshoot
+    alive = [s for s in vals if s >= kill]
+    # the solver absorbs on <= 0: shift heights by 1 - kill, and its
+    # overshoot j is the ladder's overshoot j + 1 - kill
+    solver = CrossingSolver(pmf)
+    heights = np.array(alive) + 1 - kill
+    absorbed[1 - kill:1 - kill + solver.d] += (
+        np.array([pmf[s] for s in alive]) @ solver.overshoot_matrix(heights))
     out = {j: float(m) for j, m in enumerate(absorbed) if m > 0.0}
     residual = 1.0 - math.fsum(absorbed)
     if residual < -MASS_TOL:
@@ -231,27 +202,23 @@ def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention,
 
 
 def descending_ladder(sd: StepDistribution,
-                      conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE,
-                      tol: float = 1e-10, max_steps: int = 10 ** 6,
-                      exact_tail: bool = True) -> LadderDist:
+                      conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
+                      ) -> LadderDist:
     """Descending ladder height law of the vertical component.
 
     KILL_ON_NONPOSITIVE gives the weak ladder (-S2 at the first time
     S2 <= 0, overshoot 0 allowed); KILL_ON_NEGATIVE the strict one.
     """
-    return _ladder_engine(sd.vertical_pmf(), conv, tol, max_steps, exact_tail)
+    return _ladder_engine(sd.vertical_pmf(), conv)
 
 
-def ascending_ladder(sd: StepDistribution, tol: float = 1e-10,
-                     max_steps: int = 10 ** 6,
-                     exact_tail: bool = True) -> LadderDist:
+def ascending_ladder(sd: StepDistribution) -> LadderDist:
     """Strict ascending ladder height law: S2 at the first time S2 > 0.
 
     Computed as the strict descending ladder of the reflected walk.
     """
     pmf = {-v: p for v, p in sd.vertical_pmf().items()}
-    return _ladder_engine(pmf, BoundaryConvention.KILL_ON_NEGATIVE, tol,
-                          max_steps, exact_tail)
+    return _ladder_engine(pmf, BoundaryConvention.KILL_ON_NEGATIVE)
 
 
 def _conditioned_positive(ld: LadderDist):
@@ -341,7 +308,6 @@ class ConventionReport:
     """Outcome of the V-harmonicity convention test."""
 
     selected: BoundaryConvention
-    v_shift: int          # shift pairing V with a kill-on-nonpositive walk
     max_residual_selected: float
     max_residual_rejected: float
     ladder: LadderDist    # the weak descending ladder law the test built V from
@@ -354,8 +320,7 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
     The series V is always built from the weak descending ladder law;
     what varies is whether the one-step identity holds when killing on <= 0
     or on < 0.  Exactly one rule must pass on x2 in [1, xmax], otherwise a
-    ConventionError is raised.  ``v_shift`` translates the winner into the
-    shift making u -> V(u - v_shift) harmonic for a walk killed on <= 0.
+    ConventionError is raised.
     """
     pmf = sd.vertical_pmf()
     ld = descending_ladder(sd)
@@ -373,7 +338,6 @@ def resolve_convention(sd: StepDistribution, xmax: int = 50,
     rejected = next(c for c in BoundaryConvention if c is not selected)
     return ConventionReport(
         selected=selected,
-        v_shift=BoundaryConvention.KILL_ON_NONPOSITIVE.threshold - selected.threshold,
         max_residual_selected=residuals[selected],
         max_residual_rejected=residuals[rejected],
         ladder=ld,

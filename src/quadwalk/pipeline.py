@@ -3,8 +3,8 @@
 Given a normalized step law with driftless vertical component and positive
 horizontal drift, this builds every downstream ingredient in one place:
 moments and lattice structure, both ladder laws, the renewal tables, the
-boundary-convention resolution (which fixes how V pairs with the literal
-kill-on-nonpositive stopping times), the Gaussian parameters, the
+boundary-convention resolution (which fixes how V pairs with the kill
+rule of the pipeline's exit spec), the Gaussian parameters, the
 asymptotic constants, and the harmonic function W, evaluated a rectangle
 of starts at a time and cached by (point, tol).
 """
@@ -125,12 +125,17 @@ class ConditionedWalkPipeline:
             return 0.0
         return self._ensure_H(u)(u)
 
+    @property
+    def v_shift(self) -> int:
+        """Shift making u -> V(u - v_shift) harmonic for the walk ``spec`` kills."""
+        return self.spec.threshold - self.conv_report.selected.threshold
+
     def v_eff(self, u: int) -> float:
-        """Renewal function paired with the kill-on-nonpositive walk."""
-        return self.V(u - self.conv_report.v_shift)
+        """Renewal function paired with the walk killed by ``spec``."""
+        return self.V(u - self.v_shift)
 
     def v_eff_vector(self, max_height: int) -> np.ndarray:
-        shift = self.conv_report.v_shift
+        shift = self.v_shift
         values = self._ensure_V(max_height).values
         out = np.zeros(max_height + 1)
         out[shift:] = values[:max_height + 1 - shift]

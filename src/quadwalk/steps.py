@@ -8,11 +8,13 @@ tilt achieving a prescribed drift.
 
 It also holds ``_kill_step``, the one propagation kernel of the package:
 a single step of a walk killed on leaving a box, on a 1-D or 2-D measure of
-floats or of exact Python integers.  The measure is stored on its lattice
-coset: with per-axis stride d (``_stride``, the d_i of ``lattice_decompose``)
-cell i stands for coordinate lo + d*i, since after any number of steps from
-one start every reachable coordinate lies in one class modulo d.  The
-other d-1 classes, exact zeros in a unit-stride box, are never stored.
+floats or of exact Python integers.  It advances every exact DP in ``dp``
+and the Doob-transformed walk in ``harmonic``.  The measure is stored on
+its lattice coset: with per-axis stride d (``_stride``, the d_i of
+``lattice_decompose``) cell i stands for coordinate lo + d*i, since after
+any number of steps from one start every reachable coordinate lies in one
+class modulo d.  The other d-1 classes, exact zeros in a unit-stride box,
+are never stored.
 """
 
 from __future__ import annotations
@@ -355,7 +357,7 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
         new = a
     elif nd == 1 and a.dtype != object:
         # one np.convolve call costs far less than per-atom adds on the
-        # short line measures of ladders, leaked mass and half-planes
+        # short line measures of leaked mass and half-planes
         dense = np.zeros(max(offs[0]) + 1)
         for i, (_, p) in zip(offs[0], atoms):
             dense[i] += p

@@ -1,11 +1,15 @@
-"""The public names: every entry of a module's ``__all__`` resolves."""
+"""The public names: every entry of a module's ``__all__`` resolves, and
+every error type is raised somewhere."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import quadwalk
+from quadwalk import errors
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(quadwalk.__path__))
 
@@ -20,3 +24,12 @@ def test_all_names_resolve(name):
     names = getattr(mod, "__all__", [])
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(mod, n)] == []
+
+
+def test_every_error_type_is_raised():
+    # a class in errors.py that no code raises is dead weight
+    src = "".join(p.read_text() for p in Path(quadwalk.__file__).parent.glob("*.py"))
+    raised = set(re.findall(r"raise\s+(?:\w+\.)*(\w+)", src))
+    types = {n for n, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.QuadwalkError)}
+    assert types - raised - {"QuadwalkError"} == set()

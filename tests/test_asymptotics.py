@@ -171,7 +171,8 @@ class TestPredictorAlgebra:
 
 class TestVerifyHarness:
     def test_empty_schedule(self, pipe):
-        assert verify("tail", pipe, n_schedule=()) == []
+        with pytest.raises(InputError, match="empty"):
+            verify("tail", pipe, n_schedule=())
 
     def test_unknown_theorem(self, pipe):
         with pytest.raises(InputError):

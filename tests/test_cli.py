@@ -8,6 +8,7 @@ import pytest
 from quadwalk import singular_steps, solve_drift, validate_steps
 from quadwalk.cli import main
 from quadwalk.dp import ExitSpec, count_paths, survival_prob
+from quadwalk.ladders import CrossingSolver
 from quadwalk.montecarlo import simulate_survival
 from quadwalk.pipeline import ConditionedWalkPipeline
 
@@ -190,6 +191,23 @@ def test_verify_nonpositive_n_exit_3(capsys, tilted_file, schedule):
     assert "positive" in err
 
 
+def test_verify_empty_schedule_exit_3(capsys, tilted_file):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "verify", "tail",
+                             "--n-schedule=,")
+    assert code == 3
+    assert out == ""
+    assert "empty" in err
+
+
+@pytest.mark.parametrize("option", ["--max-steps=5", "--tol=1e-3",
+                                    "--no-exact-tail"])
+def test_ladders_takes_no_iteration_options(capsys, tilted_file, option):
+    code, out, _ = run_cli(capsys, "--steps", tilted_file, "ladders",
+                           "--dir", "down", option)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("kind,max_u", [("H", "-3"), ("V", "-1")])
 def test_renewal_negative_size_exit_3(capsys, tilted_file, kind, max_u):
     code, out, err = run_cli(capsys, "--steps", tilted_file, "renewal",
@@ -232,10 +250,13 @@ def test_threads_negative_exit_2(capsys, tilted_file):
     assert "worker count" in err
 
 
-def test_numeric_failure_exit_4_with_partial(capsys, tilted_file):
+def test_numeric_failure_exit_4_with_partial(capsys, monkeypatch, tilted_file):
+    # doubling the completed law puts the ladder mass above 1
+    real = CrossingSolver.overshoot_matrix
+    monkeypatch.setattr(CrossingSolver, "overshoot_matrix",
+                        lambda self, h: 2.0 * real(self, h))
     code, out, err = run_cli(capsys, "--steps", tilted_file, "ladders",
-                             "--dir", "down", "--no-exact-tail",
-                             "--max-steps", "100")
+                             "--dir", "down")
     assert code == 4
     assert "numeric failure" in err
     obj = json.loads(out)

@@ -147,6 +147,26 @@ class TestHarmonicity:
         assert near > 0.1
 
 
+class TestKillOnNegative:
+    POINTS = ((0, 0), (1, 1), (2, 2), (0, 3))
+
+    @pytest.fixture(scope="class")
+    def neg(self):
+        return ConditionedWalkPipeline.build(
+            pipe_steps(), ladders.BoundaryConvention.KILL_ON_NEGATIVE)
+
+    def test_translate_of_the_default_walk(self, neg, pipe):
+        # killing on < 0 from x is killing on <= 0 from x + (1, 1)
+        for x in self.POINTS:
+            a, b = neg.w(x), pipe.w((x[0] + 1, x[1] + 1))
+            assert abs(a.value - b.value) <= max(a.width, b.width)
+
+    def test_harmonic_for_its_own_walk(self, neg):
+        # the brackets are about 1e-11 wide
+        for x in self.POINTS:
+            assert w_check_harmonic(neg.sd, neg.w_value, x, neg.spec) <= 1e-11
+
+
 class TestHatRepresentation:
     def test_matches_series_at_finite_n(self, pipe):
         for x, n in (((1, 1), 64), ((3, 2), 32)):

@@ -1,6 +1,8 @@
-"""Ladder laws, renewal tables, kappa, the defect function and the convention test."""
+"""Ladder laws, renewal tables, kappa, Wiener-Hopf and the convention test."""
 
 import math
+from collections import defaultdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,12 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadwalk import validate_steps
-from quadwalk.errors import (
-    InputError,
-    NonzeroDriftError,
-    NumericError,
-    ToleranceNotReachedError,
-)
+from quadwalk.errors import InputError, NonzeroDriftError, NumericError
 from quadwalk.ladders import (
     BoundaryConvention,
     CrossingSolver,
@@ -26,6 +23,7 @@ from quadwalk.ladders import (
     renewal_V,
     resolve_convention,
 )
+from quadwalk.pipeline import ConditionedWalkPipeline
 
 from oracles import direct_renewal_series
 
@@ -70,25 +68,6 @@ class TestDescending:
         assert set(ld.pmf) == {1}
         assert ld.pmf[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_tolerance_not_reached_carries_residual(self):
-        with pytest.raises(ToleranceNotReachedError) as exc:
-            descending_ladder(fair_pm1(), tol=1e-10, max_steps=200,
-                              exact_tail=False)
-        assert exc.value.residual > 1e-10
-        assert exc.value.partial  # partial pmf emitted
-
-    def test_truncation_error_sqrt_decay(self):
-        # log-log slope of the residual against N in [-0.6, -0.4]
-        Ns = [10 ** 3, 10 ** 4, 10 ** 5]
-        residuals = []
-        for N in Ns:
-            with pytest.raises(ToleranceNotReachedError) as exc:
-                descending_ladder(fair_pm1(), tol=0.0, max_steps=N,
-                                  exact_tail=False)
-            residuals.append(exc.value.residual)
-        slope = np.polyfit(np.log(Ns), np.log(residuals), 1)[0]
-        assert -0.6 <= slope <= -0.4
-
 
 class TestAscending:
     def test_fair(self):
@@ -101,7 +80,7 @@ class TestAscending:
         assert set(ld.pmf) == {1}
 
     def test_up_two(self):
-        # frozen from the absorbing-iteration oracle with exact completion
+        # frozen values; test_wiener_hopf_factorization checks the law
         ld = ascending_ladder(up_two())
         assert ld.pmf[1] == pytest.approx(0.5, abs=1e-10)
         assert ld.pmf[2] == pytest.approx(0.5, abs=1e-10)
@@ -199,10 +178,13 @@ def test_renewal_V_matches_convolution_powers(sd_fn):
 
 
 @st.composite
-def zero_drift_laws(draw):
-    """Vertical laws on [-3, 3] with zero drift, support gcd 1, maybe a lazy step."""
-    ups = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
-    downs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+def zero_drift_laws(draw, reach=3, most=2):
+    """Vertical laws on [-reach, reach] with zero drift, support gcd 1, at
+    most ``most`` up and ``most`` down steps, maybe a lazy step."""
+    ups = draw(st.lists(st.integers(1, reach), min_size=1, max_size=most,
+                        unique=True))
+    downs = draw(st.lists(st.integers(1, reach), min_size=1, max_size=most,
+                          unique=True))
     assume(math.gcd(*ups, *downs) == 1)
     wu = draw(st.lists(st.floats(0.1, 1.0), min_size=len(ups), max_size=len(ups)))
     wd = draw(st.lists(st.floats(0.1, 1.0), min_size=len(downs),
@@ -231,7 +213,7 @@ def test_renewal_tables_match_direct_series(sd):
 
 class TestMassChecks:
     def test_ladder_mass_above_one_raises(self, monkeypatch):
-        # the alive remainder after 512 steps is completed through the
+        # the mass alive after the first step is completed through the
         # crossing solver; doubling its law puts the total mass above 1
         real = CrossingSolver.overshoot_matrix
         monkeypatch.setattr(CrossingSolver, "overshoot_matrix",
@@ -275,7 +257,6 @@ class TestConvention:
     def test_exactly_one_passes(self):
         rep = resolve_convention(fair_pm1())
         assert rep.selected is BoundaryConvention.KILL_ON_NEGATIVE
-        assert rep.v_shift == 1
         assert rep.max_residual_selected <= 1e-9
         assert rep.max_residual_rejected > 1e-9
 
@@ -295,3 +276,33 @@ class TestConvention:
             pmf, table, BoundaryConvention.KILL_ON_NEGATIVE, range(1, 50)) < 1e-12
         assert harmonicity_residual(
             pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE, [1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("conv,shift", [
+        (BoundaryConvention.KILL_ON_NONPOSITIVE, 1),
+        (BoundaryConvention.KILL_ON_NEGATIVE, 0)])
+    def test_v_eff_pairs_V_with_the_pipeline_kill_rule(self, conv, shift):
+        # V is harmonic when killing on < 0, so a walk killed on <= 0 reads
+        # it one unit lower
+        pipe = ConditionedWalkPipeline.build(fair_pm1(), conv)
+        for u in range(8):
+            assert pipe.v_eff(u) == pipe.V(u - shift)
+        assert list(pipe.v_eff_vector(7)) == [pipe.V(u - shift) for u in range(8)]
+
+
+@given(zero_drift_laws(reach=4, most=3))
+@settings(max_examples=60, deadline=None)
+def test_wiener_hopf_factorization(sd):
+    # 1 - E z^X = (1 - E z^chi+) (1 - E z^-chi-), chi+ strict ascending and
+    # chi- weak descending, compared coefficient by coefficient
+    a = ascending_ladder(sd).pmf
+    b = descending_ladder(sd).pmf
+    lhs, rhs = defaultdict(float, {0: 1.0}), defaultdict(float, {0: 1.0})
+    for s, q in sd.vertical_pmf().items():
+        lhs[s] -= q
+    for j, q in a.items():
+        rhs[j] -= q
+    for k, q in b.items():
+        rhs[-k] -= q
+    for (j, qa), (k, qb) in product(a.items(), b.items()):
+        rhs[j - k] += qa * qb
+    assert max(abs(lhs[s] - rhs[s]) for s in set(lhs) | set(rhs)) <= 1e-12
