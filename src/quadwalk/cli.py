@@ -190,7 +190,7 @@ def cmd_dp(args):
 
 def cmd_mc(args):
     sd = _load(args)
-    spec = dp.ExitSpec(conv=_CONV[args.convention])
+    spec = dp.ExitSpec(region=_REGION[args.region], conv=_CONV[args.convention])
     est = montecarlo.simulate_survival(sd, args.x, args.n, args.reps,
                                        args.seed, workers=args.threads,
                                        spec=spec)
@@ -279,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=_int_pair, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--reps", type=int, required=True)
+    sp.add_argument("--region", choices=tuple(_REGION), default="quadrant")
     # accepted after the subcommand too; SUPPRESS keeps the global value
     # when they are absent here
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)

@@ -6,17 +6,28 @@ lies in x_i + a_i n + d_i Z, so with strides (d1, d2) from the step law
 cell (i, j) stands for (lo1 + d1 i, lo2 + d2 j) and the d1*d2 - 1 other
 residue classes, exact zeros, are never stored.  It is advanced one step
 at a time by the package's single propagation kernel, ``steps._kill_step``;
-mass landing outside the survival region is removed and accounted.  For
-quadrant runs with positive horizontal drift a truncation barrier L may be
-enabled: mass crossing x1 > L migrates to a one-dimensional vertical
-measure that keeps the vertical kill but drops the horizontal one.  The
-leaked measure lies on the same vertical coset.  The resulting error is
-bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1)) on
-the walk ever returning, gamma the positive root of E[exp(-gamma X1)] = 1.
+mass landing outside the survival region is removed and accounted.
+
+Each step may also peel whole edge rows and columns off the box, lightest
+first, while the mass peeled in that step stays within ``PRUNE_BUDGET``
+(1e-33).  The peeled mass is summed into ``dropped_mass``, so after n steps
+dropped_mass <= n * PRUNE_BUDGET.  The dynamics are linear and positive, so
+that mass bounds the error of every event probability, and
+``error_bound()`` reports it.
+
+For quadrant runs with positive horizontal drift a truncation barrier L
+may be enabled: mass crossing x1 > L migrates to a one-dimensional
+vertical measure that keeps the vertical kill but drops the horizontal
+one.  The leaked measure lies on the same vertical coset, and its ends are
+peeled from what the 2-D box left of the step's budget.  The barrier error
+is bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1))
+on the walk ever returning, gamma the positive root of
+E[exp(-gamma X1)] = 1; ``error_bound()`` adds it to the dropped mass.
 
 The half-plane survival runs the same kernel on the vertical marginal, and
-exact path counts run it on an object array of Python integers (no prune,
-no barrier), each on the same coset storage.  Every run kills by its
+exact path counts run it on an object array of Python integers (no
+barrier), each on the same coset storage.  Both report no bound, so they
+peel exact-zero edges only and drop nothing.  Every run kills by its
 ``ExitSpec``, the one owner of the kill rule: ``ExitSpec.kill`` names the
 lowest surviving value on each axis the region kills.  Exact path counts
 honour a half-plane region too.
@@ -33,7 +44,11 @@ from scipy.optimize import brentq
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import PRUNE_DEFAULT, StepDistribution, _kill_step, _stride, _trim
+from .steps import StepDistribution, _kill_step, _stride, _trim
+
+# Mass that ``step_measure`` may peel off the edges of a measure per step,
+# shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
+PRUNE_BUDGET = 1e-33
 
 __all__ = [
     "Region",
@@ -259,11 +274,14 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
         )
     kill = m.spec.kill
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
+    # each trim gets what the ones before it left of this step's budget
     new, (lo1, lo2), cuts, drop = _kill_step(m.cells, (m.lo1, m.lo2),
-                                             sd.atoms, kill, stride)
+                                             sd.atoms, kill, stride,
+                                             budget=PRUNE_BUDGET)
     killed = m.killed_mass
     for cut in cuts:
         killed += float(cut.sum())
+    budget = PRUNE_BUDGET - float(drop)
     dropped = m.dropped_mass + float(drop)
 
     # evolve any previously leaked mass (vertical kill only)
@@ -272,8 +290,9 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     if leaked.size:
         leaked, (leak_lo,), (cut,), drop = _kill_step(
             leaked, (leak_lo,), sorted(sd.vertical_pmf().items()), kill[1:],
-            (d2,))
+            (d2,), budget=budget)
         killed += float(cut.sum())
+        budget -= float(drop)
         dropped += float(drop)
 
     # migrate mass beyond the barrier into the vertical-only measure
@@ -284,7 +303,7 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
         if amt > 0:
             leaked_total += amt
             lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
-            leaked, (leak_lo,), drop = _trim(out, (lo,), PRUNE_DEFAULT, (d2,))
+            leaked, (leak_lo,), drop = _trim(out, (lo,), budget, (d2,))
             dropped += float(drop)
         new = new[:keep, :]
     return QuadrantMeasure(
@@ -374,8 +393,7 @@ def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
     stride = _stride(atoms)
     counts = np.ones((1, 1), dtype=object)
     for _ in range(n):
-        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride,
-                                      prune=0)
+        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride)
     return counts, lo, stride
 
 

@@ -283,9 +283,13 @@ def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
     return RenewalTable(values=np.concatenate(([0.0], H)), U=U)
 
 
-def kappa(ld: LadderDist) -> float:
-    """sqrt(2/pi) times the ladder mean."""
-    return SQRT_2_OVER_PI * ld.mean
+def kappa(ld: LadderDist, sigma2: float) -> float:
+    """sqrt(2/pi) times the ladder mean over sigma2, the walk's vertical sd.
+
+    With V(x) ~ x / E[chi] this makes kappa V(x) / sqrt(n) the Brownian
+    tail sqrt(2/pi) x / (sigma2 sqrt(n)) for large x.
+    """
+    return SQRT_2_OVER_PI * ld.mean / sigma2
 
 
 def harmonicity_residual(vert_pmf: dict[int, float], table: np.ndarray,

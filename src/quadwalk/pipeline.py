@@ -80,8 +80,8 @@ class ConditionedWalkPipeline:
         conv_report = ladders.resolve_convention(sd, xmax=XMAX_CONVENTION)
         chi_minus = conv_report.ladder
         chi_plus = ladders.ascending_ladder(sd)
-        kap = ladders.kappa(chi_minus)
-        kap_p = ladders.kappa(chi_plus)
+        kap = ladders.kappa(chi_minus, gauss.sigma2)
+        kap_p = ladders.kappa(chi_plus, gauss.sigma2)
         consts = AsymptoticConstants(kappa=kap, kappa_prime=kap_p,
                                      int_q=int_q(gauss, kap, kap_p))
         pipe = cls(

@@ -14,7 +14,9 @@ its lattice coset: with per-axis stride d (``_stride``, the d_i of
 ``lattice_decompose``) cell i stands for coordinate lo + d*i, since after
 any number of steps from one start every reachable coordinate lies in one
 class modulo d.  The other d-1 classes, exact zeros in a unit-stride box,
-are never stored.
+are never stored.  After each step ``_trim`` peels the lightest edge rows
+and columns while their mass fits the caller's budget and returns what it
+peeled; the default budget 0 removes exact zeros only.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .errors import (
     NegativeWeightError,
     ZeroTotalWeightError,
 )
-
-# Edge entries at or below this mass are trimmed from a propagated measure.
-PRUNE_DEFAULT = 1e-300
 
 __all__ = [
     "StepDistribution",
@@ -289,38 +288,42 @@ def load_steps(path) -> StepDistribution:
     return validate_steps([(s["dx"], s["dy"], s["w"]) for s in obj["steps"]])
 
 
-def _trim(a: np.ndarray, lo: tuple, prune, stride: tuple):
-    """Shrink-wrap a 1-D or 2-D ``a`` to the box of its entries above ``prune``.
+def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple):
+    """Peel edge slabs off a nonnegative 1-D or 2-D ``a`` within a mass budget.
 
-    ``a[i]`` is at coordinate lo + stride*i on each axis.  Returns (array,
-    lo, dropped), ``dropped`` the sum of the cut edges.  An array with
-    nothing above ``prune`` collapses to one zero cell at ``lo``.
+    ``a[i]`` is at coordinate lo + stride*i on each axis.  The lightest of
+    the box's edge slabs (first and last row, first and last column) is
+    peeled for as long as the total peeled stays <= ``budget``; budget 0
+    peels exact-zero edges only.  Returns (array, lo, dropped), ``dropped``
+    the sum of the peeled slabs.  An array peeled to nothing collapses to
+    one zero cell at ``lo``.
     """
-    live = a > prune
-    if not live.any():
-        return np.zeros((1,) * a.ndim, dtype=a.dtype), lo, a.sum()
-    spans = []
-    for ax in range(a.ndim):
-        prof = live.any(axis=1 - ax) if a.ndim == 2 else live
-        spans.append((int(prof.argmax()), len(prof) - int(prof[::-1].argmax())))
-    if all(sp == (0, n) for sp, n in zip(spans, a.shape)):
-        return a, lo, 0
-    del live, prof
+    span = [[0, n] for n in a.shape]
     dropped = 0
-    for ax, (s0, s1) in enumerate(spans):
-        head = (slice(None),) * ax
-        if s0:
-            dropped += a[head + (slice(None, s0),)].sum()
-        if s1 < a.shape[ax]:
-            dropped += a[head + (slice(s1, None),)].sum()
-        a = a[head + (slice(s0, s1),)]
-    lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, spans))
-    return np.ascontiguousarray(a), lo, dropped
+    while all(s0 < s1 for s0, s1 in span):
+        box = [slice(s0, s1) for s0, s1 in span]
+        best = None
+        for ax, (s0, s1) in enumerate(span):
+            for side, i in ((0, s0), (1, s1 - 1)):
+                mass = a[tuple(box[:ax] + [slice(i, i + 1)] + box[ax + 1:])].sum()
+                if best is None or mass < best[0]:
+                    best = (mass, ax, side)
+        mass, ax, side = best
+        if dropped + mass > budget:
+            break
+        dropped += mass
+        span[ax][side] += 1 - 2 * side
+    if any(s0 >= s1 for s0, s1 in span):
+        return np.zeros((1,) * a.ndim, dtype=a.dtype), lo, dropped
+    if all(sp == [0, n] for sp, n in zip(span, a.shape)):
+        return a, lo, dropped
+    lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, span))
+    return np.ascontiguousarray(a[tuple(box)]), lo, dropped
 
 
 def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
-               weight=None, prune=PRUNE_DEFAULT):
-    """One step of a walk killed on leaving a box: convolve, kill, shrink-wrap.
+               weight=None, budget=0):
+    """One step of a walk killed on leaving a box: convolve, kill, peel edges.
 
     ``a`` is a 1-D or 2-D measure with ``a[i]`` at coordinate lo + d*i, with
     one offset lo and one stride d per axis, of any dtype that adds:
@@ -335,7 +338,8 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
     Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed
     below ``kill[ax]``, its last entry at the highest coset point below it
     (kill[ax] - 1 at stride 1; the last axis is cut first); ``dropped`` is
-    the mass of the trimmed edges, each <= ``prune``.  An empty measure (no
+    the mass of the edge slabs ``_trim`` peeled, at most ``budget`` in all.
+    The default budget 0 drops nothing but exact zeros.  An empty measure (no
     cells, or the one zero cell ``_trim`` leaves) keeps its cells, but its
     lo moves and is cut as a live one's would, so it stays on its coset.
     """
@@ -386,5 +390,5 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
         return a, tuple(lo), cuts, 0
     if weight is not None:
         new *= weight[lo[-1]:lo[-1] + d * new.shape[-1]:d]
-    new, lo, dropped = _trim(new, tuple(lo), prune, stride)
+    new, lo, dropped = _trim(new, tuple(lo), budget, stride)
     return new, lo, cuts, dropped

@@ -169,6 +169,25 @@ class TestPredictorAlgebra:
         assert predict_integral(64, (0.0, -2.0), 0.4, 0.8, GP) == 0.0
 
 
+class TestVerticalVariance:
+    """kappa carries 1/sigma2, so the predictors hold when sigma22 != 1."""
+
+    @pytest.fixture(scope="class")
+    def pipe15(self):
+        sd = validate_steps([((2, -2), 1.0), ((1, 1), 1.0), ((-1, 1), 1.0),
+                             ((1, 0), 1.0)])
+        return ConditionedWalkPipeline.build(sd)
+
+    # without the 1/sigma2 the ratios read 1/sqrt(1.5) = 0.8165 for the
+    # tail and 1/1.5 for the two that carry kappa kappa'
+    @pytest.mark.parametrize("theorem, want", [
+        ("tail", 1.0000), ("line", 0.9997), ("boundary-llt", 0.9955)])
+    def test_ratios_at_n_1024(self, pipe15, theorem, want):
+        assert pipe15.moments.sigma22 == 1.5
+        (row,) = verify(theorem, pipe15, n_schedule=(1024,))
+        assert row.ratio == pytest.approx(want, abs=5e-4)
+
+
 class TestVerifyHarness:
     def test_empty_schedule(self, pipe):
         with pytest.raises(InputError, match="empty"):
@@ -193,13 +212,32 @@ class TestVerifyHarness:
 
     def test_exact_joint_rows_report_pruned_mass(self, pipe):
         from quadwalk.dp import ExitSpec, Region, run_dp
-        # by n = 512 edge cells of the half-plane measure fall below the
-        # prune floor, so the exact run's bound is small but positive
+        # by n = 512 the budget rule has peeled edge slabs off the
+        # half-plane measure, so the exact run's bound is small but positive
         spec = ExitSpec(region=Region.UPPER_HALF_PLANE)
         m = run_dp(pipe.sd, (1, 1), spec, 512, barrier=None)[512]
         assert m.error_bound() > 0.0
         (row,) = verify("llt-half", pipe, n_schedule=(512,))
         assert row.dp_error_bound == m.error_bound()
+
+    def test_prune_leaves_exact_joint_rows_unchanged(self, pipe, monkeypatch):
+        from quadwalk import dp
+        measured, bounds = {}, {}
+        for budget in (dp.PRUNE_BUDGET, 0.0):
+            monkeypatch.setattr(dp, "PRUNE_BUDGET", budget)
+            snaps = dp.run_dp(pipe.sd, (1, 1), pipe.spec, 1024,
+                              snapshots=(1024,), barrier=None)
+            # one run serves the three theorems, which all ask for it
+            monkeypatch.setattr(dp, "run_dp", lambda *a, **k: snaps)
+            rows = [r for th in ("llt", "boundary-llt", "integral")
+                    for r in verify(th, pipe, n_schedule=(1024,))]
+            measured[budget] = [r.measured for r in rows]
+            bounds[budget] = {r.dp_error_bound for r in rows}
+            monkeypatch.undo()
+        assert measured[dp.PRUNE_BUDGET] == measured[0.0]
+        (pruned,) = bounds[dp.PRUNE_BUDGET]
+        assert 0.0 < pruned <= 1024 * dp.PRUNE_BUDGET
+        assert bounds[0.0] == {0.0}
 
     def test_infeasible_y_skipped_with_note(self, pipe):
         notes = []

@@ -226,6 +226,24 @@ def test_mc_start_outside_region_exit_3(capsys, tilted_file, n):
     assert "survival region" in err
 
 
+def test_mc_region_covers_dp_half_plane(capsys, tilted_file):
+    # (0, 2) lies in the upper half-plane but not in the quadrant
+    argv = ["--steps", tilted_file, "--format", "json"]
+    where = ["--x", "0,2", "--n", "40", "--region", "upper-half"]
+    code, out, _ = run_cli(capsys, *argv, "dp", "survive", *where)
+    assert code == 0
+    exact = json.loads(out)["result"][0]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "5", "mc", "survive",
+                           *where, "--reps", "20000")
+    assert code == 0
+    est = json.loads(out)["result"][0]
+    assert abs(est["mean"] - exact["probability"]) <= est["half_width_95"]
+    code, _, err = run_cli(capsys, *argv, "mc", "survive", "--x", "0,2",
+                           "--n", "40", "--reps", "100")
+    assert code == 3
+    assert "survival region" in err
+
+
 def test_threads_env_not_an_integer_exit_2(capsys, monkeypatch, tilted_file):
     monkeypatch.setenv("QUADWALK_THREADS", "abc")
     code, _, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",

@@ -1,13 +1,14 @@
 """The propagation kernel against brute-force oracles on random small laws."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadwalk import singular_steps, validate_steps
+from quadwalk import dp, singular_steps, validate_steps
 from quadwalk.dp import (
     ExitSpec,
     QuadrantMeasure,
@@ -251,6 +252,48 @@ def test_emptied_box_stays_on_its_coset():
     assert [n for n, _ in barred.history] == [0, 1, 2, 4, 7]
     assert [w for _, w in barred.history] == pytest.approx(
         [w for _, w in exact.history], rel=1e-14)
+
+
+# -- the certified prune -------------------------------------------------------------
+
+def _on_box(m, ref):
+    """m's cells placed on ref's box, which holds every live cell of m."""
+    out = np.zeros_like(ref.cells)
+    if m.cells.any():
+        (d1, d2), (n1, n2) = ref.stride, m.cells.shape
+        i, j = (m.lo1 - ref.lo1) // d1, (m.lo2 - ref.lo2) // d2
+        assert 0 <= i <= ref.cells.shape[0] - n1
+        assert 0 <= j <= ref.cells.shape[1] - n2
+        out[i:i + n1, j:j + n2] = m.cells
+    return out
+
+
+@given(st.one_of(small_laws(), periodic_laws()), st.sampled_from(list(Region)),
+       st.sampled_from(list(BoundaryConvention)), st.integers(20, 80),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_pruned_run_is_certified_by_dropped_mass(sd, region, conv, n, data):
+    spec = ExitSpec(region=region, conv=conv)
+    x = data.draw(starts(spec.threshold))
+    m = run_dp(sd, x, spec, n, barrier=None)[n]
+    with patch.object(dp, "PRUNE_BUDGET", 0.0):
+        full = run_dp(sd, x, spec, n, barrier=None)[n]
+    assert full.dropped_mass == 0.0
+    kept = _on_box(m, full)
+    # a float sum of nonnegative terms is monotone in each term, so the
+    # pruned run stays below the full one cell by cell, exactly
+    assert (kept <= full.cells).all()
+    # the dynamics are linear and positive: in exact arithmetic the full
+    # run exceeds the pruned one by at most the peeled mass; in floats each
+    # cell is off its exact value by at most gamma relative, which counts
+    # only on the cells the prune moved
+    gamma = 2 * n * len(sd.atoms) * np.finfo(float).eps
+    moved = full.cells[full.cells != kept].sum()
+    assert (full.cells - kept).sum() <= (1 + gamma) * (
+        m.dropped_mass + 2 * gamma * moved)
+    assert m.dropped_mass <= n * dp.PRUNE_BUDGET
+    assert m.alive_mass() + m.killed_mass + m.dropped_mass == pytest.approx(
+        1.0, abs=1e-12)
 
 
 # -- W on a rectangle of starts -----------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from quadwalk import singular_steps, validate_steps
 from quadwalk.dp import (
-    PRUNE_DEFAULT,
+    PRUNE_BUDGET,
     ExitSpec,
     QuadrantMeasure,
     Region,
@@ -192,10 +192,14 @@ class TestBookkeeping:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_leaked_measure_is_trimmed(self):
+        # the leaked line can reach n/2 heights on its coset (stride 2); the
+        # budget rule peels its far tails and puts them on the ledger
         sd = tilted_singular()
-        m = run_dp(sd, (1, 1), QUAD, 5000, barrier="auto")[5000]
+        n = 5000
+        m = run_dp(sd, (1, 1), QUAD, n, barrier="auto")[n]
         assert m.leaked_total > 0
-        assert m.leaked[0] > PRUNE_DEFAULT and m.leaked[-1] > PRUNE_DEFAULT
+        assert m.stride[1] == 2 and len(m.leaked) < (n / 2) / 4
+        assert 0.0 < m.dropped_mass <= n * PRUNE_BUDGET
         total = m.alive_mass() + m.leaked.sum() + m.killed_mass + m.dropped_mass
         assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadwalk import validate_steps
+from quadwalk import compute_moments, validate_steps
 from quadwalk.errors import InputError, NonzeroDriftError, NumericError
 from quadwalk.ladders import (
     BoundaryConvention,
@@ -241,16 +241,19 @@ class TestMassChecks:
 
 class TestKappa:
     def test_bernoulli(self):
-        assert kappa(descending_ladder(fair_pm1())) == pytest.approx(
+        assert kappa(descending_ladder(fair_pm1()), 1.0) == pytest.approx(
             0.5 * SQ2PI, abs=1e-12)
 
     def test_deterministic(self):
         ld = LadderDist(pmf={1: 1.0}, truncation_error=0.0, mean=1.0)
-        assert kappa(ld) == pytest.approx(SQ2PI, abs=1e-15)
+        assert kappa(ld, 1.0) == pytest.approx(SQ2PI, abs=1e-15)
+        assert kappa(ld, 2.0) == pytest.approx(0.5 * SQ2PI, abs=1e-15)
 
     def test_lazy(self):
-        assert kappa(descending_ladder(lazy_pm1())) == pytest.approx(
-            0.25 * SQ2PI, abs=1e-12)
+        # vertical variance 1/2: kappa carries 1 / sqrt(1/2)
+        sigma2 = math.sqrt(compute_moments(lazy_pm1()).sigma22)
+        assert kappa(descending_ladder(lazy_pm1()), sigma2) == pytest.approx(
+            0.25 * SQ2PI * math.sqrt(2.0), abs=1e-12)
 
 
 class TestConvention:
