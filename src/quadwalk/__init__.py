@@ -27,7 +27,7 @@ from .dp import (
     step_measure,
     survival_prob,
 )
-from .harmonic import HarmonicEstimate, w_check_harmonic, w_hat_survival, w_rect
+from .harmonic import HarmonicEstimate, w_check_harmonic, w_rect
 from .ladders import (
     BoundaryConvention,
     LadderDist,

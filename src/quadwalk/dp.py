@@ -19,7 +19,9 @@ For quadrant runs with positive horizontal drift a truncation barrier L
 may be enabled: mass crossing x1 > L migrates to a one-dimensional
 vertical measure that keeps the vertical kill but drops the horizontal
 one.  The leaked measure lies on the same vertical coset, and its ends are
-peeled from what the 2-D box left of the step's budget.  The barrier error
+peeled from what the 2-D box left of the step's budget.  No mass re-enters
+the box, so once every cell has crossed or been killed the box is empty,
+shape (0, 0), and only the leaked line is stepped.  The barrier error
 is bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1))
 on the walk ever returning, gamma the positive root of
 E[exp(-gamma X1)] = 1; ``error_bound()`` adds it to the dropped mass.
@@ -27,7 +29,8 @@ E[exp(-gamma X1)] = 1; ``error_bound()`` adds it to the dropped mass.
 The half-plane survival runs the same kernel on the vertical marginal, and
 exact path counts run it on an object array of Python integers (no
 barrier), each on the same coset storage.  Both report no bound, so they
-peel exact-zero edges only and drop nothing.  Every run kills by its
+peel exact-zero edges only and drop nothing, and both stop at the first
+step that leaves nothing alive.  Every run kills by its
 ``ExitSpec``, the one owner of the kill rule: ``ExitSpec.kill`` names the
 lowest surviving value on each axis the region kills.  Exact path counts
 honour a half-plane region too.
@@ -44,7 +47,7 @@ from scipy.optimize import brentq
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import StepDistribution, _kill_step, _stride, _trim
+from .steps import StepDistribution, _kill_step, _stride, _trim, compute_moments
 
 # Mass that ``step_measure`` may peel off the edges of a measure per step,
 # shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
@@ -235,8 +238,7 @@ class QuadrantMeasure:
 def chernoff_gamma(sd: StepDistribution) -> float:
     """Positive root gamma of E[exp(-gamma X1)] = 1; inf if X1 >= 0 a.s."""
     hp = sd.horizontal_pmf()
-    mu1 = math.fsum(v * p for v, p in hp.items())
-    if mu1 <= 0:
+    if compute_moments(sd).mu1 <= 0:
         raise InputError("Chernoff barrier rate needs positive horizontal drift")
     if min(hp) >= 0:
         return math.inf  # the walk can never move left of its start
@@ -275,14 +277,15 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     kill = m.spec.kill
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
     # each trim gets what the ones before it left of this step's budget
-    new, (lo1, lo2), cuts, drop = _kill_step(m.cells, (m.lo1, m.lo2),
-                                             sd.atoms, kill, stride,
-                                             budget=PRUNE_BUDGET)
-    killed = m.killed_mass
-    for cut in cuts:
-        killed += float(cut.sum())
-    budget = PRUNE_BUDGET - float(drop)
-    dropped = m.dropped_mass + float(drop)
+    killed, dropped, budget = m.killed_mass, m.dropped_mass, PRUNE_BUDGET
+    new, lo1, lo2 = m.cells, m.lo1, m.lo2
+    if new.size:
+        new, (lo1, lo2), cuts, drop = _kill_step(new, (lo1, lo2), sd.atoms,
+                                                 kill, stride, budget=budget)
+        for cut in cuts:
+            killed += float(cut.sum())
+        budget -= float(drop)
+        dropped += float(drop)
 
     # evolve any previously leaked mass (vertical kill only)
     leaked, leak_lo = m.leaked, m.leak_lo
@@ -296,7 +299,8 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
         dropped += float(drop)
 
     # migrate mass beyond the barrier into the vertical-only measure
-    if m.barrier is not None and lo1 + d1 * (new.shape[0] - 1) > m.barrier:
+    if (m.barrier is not None and new.size
+            and lo1 + d1 * (new.shape[0] - 1) > m.barrier):
         keep = max((m.barrier - lo1) // d1 + 1, 0)
         spill = new[keep:, :].sum(axis=0)
         amt = float(spill.sum())
@@ -305,7 +309,9 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
             lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
             leaked, (leak_lo,), drop = _trim(out, (lo,), budget, (d2,))
             dropped += float(drop)
-        new = new[:keep, :]
+        # an emptied box keeps no columns: their zero sums would join the
+        # line at a stale lo2
+        new = new[:keep, :] if keep else np.zeros((0, 0))
     return QuadrantMeasure(
         n=m.n + 1, cells=new, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
         barrier=m.barrier, leaked=leaked, leak_lo=leak_lo,
@@ -320,10 +326,14 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     """Propagate n_max steps, returning the measures at the snapshot times.
 
     ``barrier='auto'`` sizes the barrier by ``auto_barrier`` so the error
-    bound is below 1e-12; ``barrier=None`` keeps the exact joint measure.
+    bound is below 1e-12; ``barrier=None`` keeps the exact joint measure,
+    and so does 'auto' on a law without positive horizontal drift, which
+    has no Chernoff rate to size a barrier by.
     """
     if n_max < 0:
         raise InputError("n must be >= 0")
+    if barrier == "auto" and compute_moments(sd).mu1 <= 0:
+        barrier = None
     gamma = math.inf
     L = None
     if barrier is not None:
@@ -374,6 +384,8 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     alive, lo = np.ones(1), (x2,)
     for _ in range(n):
         alive, lo, _, _ = _kill_step(alive, lo, atoms, kill, stride)
+        if not alive.size:
+            break
     return float(alive.sum())
 
 
@@ -394,6 +406,8 @@ def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
     counts = np.ones((1, 1), dtype=object)
     for _ in range(n):
         counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride)
+        if not counts.size:
+            break
     return counts, lo, stride
 
 

@@ -6,10 +6,7 @@ backward pass evaluates it at every start of a rectangle: the iterate
 f_{k+1}(y) = sum_s p f_k(y + s), f_0 = V, is that expectation at time k for
 all y at once.  The bracket below the monotone upper value comes from a
 Chernoff bound on late horizontal exits combined with the linear growth of
-V.  The Doob-transformed walk (transition weights V(y2)/V(x2)) yields
-W(x) = V(x2) * Phat(sigma_x > n), algebraically equal at every finite n and
-used as a cross-check; it runs on the package's one propagation kernel,
-``steps._kill_step``, with V as the kernel's per-height weight.
+V.
 """
 
 from __future__ import annotations
@@ -23,13 +20,12 @@ from scipy.optimize import minimize_scalar
 # step_measure is re-exported: the benchmark's tracer test reads it here
 from .dp import ExitSpec, chernoff_gamma, step_measure  # noqa: F401
 from .errors import BarrierError, InputError
-from .steps import StepDistribution, _kill_step, _stride
+from .steps import StepDistribution, compute_moments
 
 __all__ = [
     "HarmonicEstimate",
     "TailBound",
     "w_rect",
-    "w_hat_survival",
     "w_check_harmonic",
 ]
 
@@ -99,10 +95,9 @@ def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
 
     res = minimize_scalar(neg_mgf, bounds=(1e-9, 50.0), method="bounded",
                           options={"xatol": 1e-12})
-    drift = math.fsum(v * p for v, p in hp.items())
+    gamma = chernoff_gamma(sd) if compute_moments(sd).mu1 > 0 else 0.0
     return TailBound(s_star=float(res.x), phi_min=float(res.fun),
-                     v_slope=v_slope, max_dy=sd.max_abs_dy(),
-                     gamma=chernoff_gamma(sd) if drift > 0 else 0.0)
+                     v_slope=v_slope, max_dy=sd.max_abs_dy(), gamma=gamma)
 
 
 def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
@@ -185,26 +180,6 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
                 lower=lower, n_used=ns[c], warned=uppers[c] - lower > tol,
                 history=tuple(zip(ns[:c + 1], uppers[:c + 1])))
     return out
-
-
-def w_hat_survival(sd: StepDistribution, x, spec: ExitSpec,
-                   v_eff: np.ndarray, n_max: int) -> float:
-    """V_eff(x2) * Phat(sigma_x > n_max) under the V-transformed kernel.
-
-    The kernel Phat(x, y) = V_eff(y2)/V_eff(x2) P(step) is killed on
-    leaving ``spec``'s region; where V_eff vanishes at killed heights only
-    the horizontal kill removes mass.  For the quadrant it is algebraically
-    equal to the ``w_rect`` upper value at the same n.
-    """
-    x1, x2 = int(x[0]), int(x[1])
-    if not spec.contains((x1, x2)):
-        raise InputError(f"start {x} is outside the survival region")
-    if v_eff[x2] <= 0:
-        raise InputError("V_eff vanishes at the starting height")
-    A, lo, stride = np.ones((1, 1)), (x1, x2), _stride(sd.atoms)
-    for _ in range(n_max):
-        A, lo, _, _ = _kill_step(A, lo, sd.atoms, spec.kill, stride, weight=v_eff)
-    return float(v_eff[x2] * A.sum())
 
 
 def w_check_harmonic(sd: StepDistribution, w_eval, x, spec: ExitSpec) -> float:

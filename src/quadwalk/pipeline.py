@@ -5,8 +5,8 @@ horizontal drift, this builds every downstream ingredient in one place:
 moments and lattice structure, both ladder laws, the renewal tables, the
 boundary-convention resolution (which fixes how V pairs with the kill
 rule of the pipeline's exit spec), the Gaussian parameters, the
-asymptotic constants, and the harmonic function W, evaluated a rectangle
-of starts at a time and cached by (point, tol).
+asymptotic constants, and the harmonic function W of the pipeline's
+V, evaluated a rectangle of starts at a time and cached by (point, tol).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import ladders
 from .asymptotics import AsymptoticConstants, GaussParams, int_q
 from .dp import ExitSpec, Region, auto_barrier
 from .errors import InputError, NonzeroDriftError
-from .harmonic import HarmonicEstimate, TailBound, make_tail_bound, w_hat_survival, w_rect
+from .harmonic import HarmonicEstimate, TailBound, make_tail_bound, w_rect
 from .ladders import BoundaryConvention, ConventionReport, LadderDist, RenewalTable
 from .steps import LatticeStructure, Moments, StepDistribution, compute_moments, lattice_decompose, in_lattice_support
 
@@ -60,9 +60,7 @@ class ConditionedWalkPipeline:
     _V: RenewalTable = field(repr=False, default=None)
     _H: RenewalTable = field(repr=False, default=None)
     _w_cache: dict = field(repr=False, default_factory=dict)
-    _w_star_cache: dict = field(repr=False, default_factory=dict)
     _tail_bound: TailBound = field(repr=False, default=None)
-    _tail_bound_linear: TailBound = field(repr=False, default=None)
 
     @classmethod
     def build(cls, sd: StepDistribution,
@@ -90,7 +88,6 @@ class ConditionedWalkPipeline:
             consts=consts, spec=ExitSpec(region=Region.QUADRANT, conv=conv),
             h_residual=0.0,
             _tail_bound=make_tail_bound(sd, 1.0 / (1.0 - chi_minus.pmf.get(0, 0.0))),
-            _tail_bound_linear=make_tail_bound(sd, 1.0),
         )
         # H must be harmonic for the reversed vertical walk killed on <= 0
         pmf = {-v: p for v, p in sd.vertical_pmf().items()}
@@ -144,40 +141,22 @@ class ConditionedWalkPipeline:
     # -- harmonic function W -------------------------------------------------
 
     def w(self, x, tol: float = 1e-10) -> HarmonicEstimate:
-        return self._w(x, tol, self.v_eff_vector, self._tail_bound,
-                       self._w_cache)
+        """Estimate at x, cached by (point, tol).
+
+        A miss fills in x's whole ``w_rect`` rectangle; each estimate there
+        equals the one a query at its own point would compute.
+        """
+        x = (int(x[0]), int(x[1]))
+        if (x, tol) not in self._w_cache:
+            L = auto_barrier(self.sd, x, BARRIER_TARGET)
+            v = self.v_eff_vector(x[1] + (N_MAX + 1) * self.sd.max_abs_dy())
+            rect = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
+                          N_MAX, L)
+            self._w_cache.update(((y, tol), est) for y, est in rect.items())
+        return self._w_cache[x, tol]
 
     def w_value(self, x) -> float:
         return self.w(x).value
-
-    def w_hat(self, x, n_max: int) -> float:
-        """Doob-transform representation V(x2) Phat(sigma_x > n_max)."""
-        v_vec = self.v_eff_vector(x[1] + (n_max + 1) * self.sd.max_abs_dy())
-        return w_hat_survival(self.sd, x, self.spec, v_vec, n_max)
-
-    def w_star(self, x, tol: float = 1e-10) -> HarmonicEstimate:
-        """W with the identity weight u in place of V.
-
-        For a walk whose vertical part is the simple symmetric one this is
-        the explicit harmonic function of the counting application.
-        """
-        return self._w(x, tol, lambda height: np.arange(height + 1.0),
-                       self._tail_bound_linear, self._w_star_cache)
-
-    def _w(self, x, tol, weights, tail_bound, cache) -> HarmonicEstimate:
-        """Estimate at x from ``cache``, keyed by (point, tol).
-
-        A miss fills in x's whole ``w_rect`` rectangle, with the weight
-        vector ``weights(max_height)``; each estimate there equals the one a
-        query at its own point would compute.
-        """
-        x = (int(x[0]), int(x[1]))
-        if (x, tol) not in cache:
-            L = auto_barrier(self.sd, x, BARRIER_TARGET)
-            v = weights(x[1] + (N_MAX + 1) * self.sd.max_abs_dy())
-            rect = w_rect(self.sd, x, self.spec, v, tail_bound, tol, N_MAX, L)
-            cache.update(((y, tol), est) for y, est in rect.items())
-        return cache[x, tol]
 
     # -- lattice helpers -----------------------------------------------------
 

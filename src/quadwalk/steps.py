@@ -8,15 +8,16 @@ tilt achieving a prescribed drift.
 
 It also holds ``_kill_step``, the one propagation kernel of the package:
 a single step of a walk killed on leaving a box, on a 1-D or 2-D measure of
-floats or of exact Python integers.  It advances every exact DP in ``dp``
-and the Doob-transformed walk in ``harmonic``.  The measure is stored on
-its lattice coset: with per-axis stride d (``_stride``, the d_i of
-``lattice_decompose``) cell i stands for coordinate lo + d*i, since after
-any number of steps from one start every reachable coordinate lies in one
-class modulo d.  The other d-1 classes, exact zeros in a unit-stride box,
-are never stored.  After each step ``_trim`` peels the lightest edge rows
-and columns while their mass fits the caller's budget and returns what it
-peeled; the default budget 0 removes exact zeros only.
+floats or of exact Python integers.  It advances every exact DP in ``dp``.
+The measure is stored on its lattice coset: with per-axis stride d
+(``_stride``, the d_i of ``lattice_decompose``) cell i stands for
+coordinate lo + d*i, since after any number of steps from one start every
+reachable coordinate lies in one class modulo d.  The other d-1 classes,
+exact zeros in a unit-stride box, are never stored.  After each step
+``_trim`` peels the lightest edge rows and columns while their mass fits
+the caller's budget and returns what it peeled; the default budget 0
+removes exact zeros only.  A measure peeled or killed to nothing has no
+cells, and callers stop stepping it: mass only ever leaves a killed walk.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple):
     the box's edge slabs (first and last row, first and last column) is
     peeled for as long as the total peeled stays <= ``budget``; budget 0
     peels exact-zero edges only.  Returns (array, lo, dropped), ``dropped``
-    the sum of the peeled slabs.  An array peeled to nothing collapses to
-    one zero cell at ``lo``.
+    the sum of the peeled slabs.  An array peeled to nothing comes back
+    with no cells, shape (0,) * ndim.
     """
     span = [[0, n] for n in a.shape]
     dropped = 0
@@ -314,52 +315,38 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple):
         dropped += mass
         span[ax][side] += 1 - 2 * side
     if any(s0 >= s1 for s0, s1 in span):
-        return np.zeros((1,) * a.ndim, dtype=a.dtype), lo, dropped
+        return np.zeros((0,) * a.ndim, dtype=a.dtype), lo, dropped
     if all(sp == [0, n] for sp, n in zip(span, a.shape)):
         return a, lo, dropped
     lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, span))
     return np.ascontiguousarray(a[tuple(box)]), lo, dropped
 
 
-def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
-               weight=None, budget=0):
+def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple, budget=0):
     """One step of a walk killed on leaving a box: convolve, kill, peel edges.
 
-    ``a`` is a 1-D or 2-D measure with ``a[i]`` at coordinate lo + d*i, with
-    one offset lo and one stride d per axis, of any dtype that adds:
-    float64, or object holding Python ints for exact path counts.
+    ``a`` is a nonempty 1-D or 2-D measure with ``a[i]`` at coordinate
+    lo + d*i, with one offset lo and one stride d per axis, of any dtype
+    that adds: float64, or object holding Python ints for exact path counts.
     ``atoms`` are (shift, ..., p) tuples with one shift per axis, all shifts
     of an axis in one class modulo its stride (see ``_stride``); an atom
     moves the array by (shift - min shift) / d cells.  ``kill[ax]`` is the
-    lowest surviving coordinate on an axis, or None.  ``weight``, indexed
-    by the last coordinate, turns the step into the Doob transform
-    p * weight[y] / weight[x].
+    lowest surviving coordinate on an axis, or None.
 
     Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed
     below ``kill[ax]``, its last entry at the highest coset point below it
     (kill[ax] - 1 at stride 1; the last axis is cut first); ``dropped`` is
     the mass of the edge slabs ``_trim`` peeled, at most ``budget`` in all.
-    The default budget 0 drops nothing but exact zeros.  An empty measure (no
-    cells, or the one zero cell ``_trim`` leaves) keeps its cells, but its
-    lo moves and is cut as a live one's would, so it stays on its coset.
+    The default budget 0 drops nothing but exact zeros.  ``alive`` has no
+    cells once nothing survives; callers do not step it further.
     """
     nd = a.ndim
     shifts = list(zip(*atoms))[:nd]
     smin = [min(c) for c in shifts]
     if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):
         raise InputError(f"step shifts {shifts} are off the lattice of stride {stride}")
-    empty = a.size <= 1 and not a.any()
     offs = [[(s - s0) // d for s in c] for c, s0, d in zip(shifts, smin, stride)]
-    d = stride[-1]
-    if weight is not None and not empty:
-        top = lo[-1] + d * (a.shape[-1] - 1) + max(*shifts[-1], 0) + 1
-        if top > len(weight):
-            raise InputError(f"V table too short: need {top}, have {len(weight)}")
-        src = weight[lo[-1]:lo[-1] + d * a.shape[-1]:d]
-        a = a * np.divide(1.0, src, out=np.zeros(len(src)), where=src > 0)
-    if empty:
-        new = a
-    elif nd == 1 and a.dtype != object:
+    if nd == 1 and a.dtype != object:
         # one np.convolve call costs far less than per-atom adds on the
         # short line measures of leaked mass and half-planes
         dense = np.zeros(max(offs[0]) + 1)
@@ -386,9 +373,5 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple,
         cuts[ax] = new[head + (slice(None, k),)]
         new = new[head + (slice(k, None),)]
         lo[ax] += k * stride[ax]
-    if empty:
-        return a, tuple(lo), cuts, 0
-    if weight is not None:
-        new *= weight[lo[-1]:lo[-1] + d * new.shape[-1]:d]
     new, lo, dropped = _trim(new, tuple(lo), budget, stride)
     return new, lo, cuts, dropped

@@ -42,6 +42,26 @@ def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1,
     return surv, endpoint_prob, endpoint_count
 
 
+def doob_survival(atoms, x, v, n, threshold=1):
+    """V(x2) * Phat(sigma_x > n) for the V-transformed walk, point by point.
+
+    atoms: list of (dx, dy, prob); v[u] is V at height u.  Mass moves from
+    (a, b) to (a + dx, b + dy) with weight prob * v[b + dy] / v[b], and is
+    killed where either coordinate falls below ``threshold``.  No barrier:
+    both kills hold at every step.
+    """
+    cur = {tuple(x): 1.0}
+    for _ in range(n):
+        nxt = {}
+        for (a, b), mass in cur.items():
+            for dx, dy, p in atoms:
+                na, nb = a + dx, b + dy
+                if na >= threshold and nb >= threshold:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0.0) + mass * p * v[nb] / v[b]
+        cur = nxt
+    return v[x[1]] * math.fsum(cur.values())
+
+
 def count_states(steps, x, n, threshold=1):
     """Exact path counts by endpoint after n steps in the quadrant, as a dict.
 

@@ -1,6 +1,7 @@
-"""The public names: every entry of a module's ``__all__`` resolves, and
-every error type is raised somewhere."""
+"""The public names: every entry of a module's ``__all__`` resolves, every
+error type is raised somewhere, and the test oracles share no library code."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -33,3 +34,13 @@ def test_every_error_type_is_raised():
     types = {n for n, obj in vars(errors).items()
              if isinstance(obj, type) and issubclass(obj, errors.QuadwalkError)}
     assert types - raised - {"QuadwalkError"} == set()
+
+
+def test_oracles_import_nothing_from_the_library():
+    # the oracles check the library, so they must not run its code
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)]
+    assert names and not [n for n in names if n.split(".")[0] == "quadwalk"]

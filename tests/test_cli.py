@@ -244,6 +244,31 @@ def test_mc_region_covers_dp_half_plane(capsys, tilted_file):
     assert "survival region" in err
 
 
+def test_dp_survive_auto_is_exact_without_horizontal_drift(capsys, tmp_path):
+    # 'auto' has no Chernoff rate to size a barrier by on the simple random
+    # walk, so it runs the exact DP; an explicit barrier stays an input error
+    path = tmp_path / "srw.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": dx, "dy": dy, "w": 1}
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]}))
+    argv = ["--steps", str(path), "--format", "json"]
+    where = ["--x", "1,1", "--n", "10"]
+    code, out, _ = run_cli(capsys, *argv, "dp", "survive", *where)
+    assert code == 0
+    exact = json.loads(out)["result"][0]
+    # oracles.enumerate_paths over all 4^10 paths
+    assert (exact["probability"], exact["error_bound"]) == (0.11103057861328125, 0.0)
+    code, out, _ = run_cli(capsys, *argv, "--seed", "3", "mc", "survive",
+                           *where, "--reps", "100000")
+    assert code == 0
+    est = json.loads(out)["result"][0]
+    assert abs(est["mean"] - exact["probability"]) <= est["half_width_95"]
+    code, _, err = run_cli(capsys, *argv, "--barrier", "5", "dp", "survive",
+                           *where)
+    assert code == 3
+    assert "positive horizontal drift" in err
+
+
 def test_threads_env_not_an_integer_exit_2(capsys, monkeypatch, tilted_file):
     monkeypatch.setenv("QUADWALK_THREADS", "abc")
     code, _, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",

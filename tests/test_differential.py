@@ -19,6 +19,7 @@ from quadwalk.dp import (
     half_plane_survival,
     run_dp,
     step_measure,
+    survival_prob,
 )
 from quadwalk.errors import InputError
 from quadwalk.harmonic import make_tail_bound, w_rect
@@ -98,6 +99,38 @@ def test_counts_match_dict_counter_past_float_precision():
     assert max(want.values()) > 2 ** 53
     assert count_line(sd, (1, 1), n) == sum(
         c for (_, b), c in want.items() if b == 1)
+
+
+@pytest.mark.parametrize("conv", list(BoundaryConvention))
+@pytest.mark.parametrize("region", list(Region))
+def test_die_out_law_matches_enumeration(region, conv):
+    # every step lowers x2, so a walk killed on x2 dies at step 4 - t; the
+    # right half-plane keeps the symmetric horizontal walk alive.  Once
+    # nothing is alive the measures are dropped, not stepped.
+    sd = validate_steps([((1, -1), 1.0), ((-1, -1), 1.0)])
+    spec = ExitSpec(region=region, conv=conv)
+    x, t = (3, 3), spec.threshold
+    kill_x1, kill_x2 = KILLS[region]
+    ms = run_dp(sd, x, spec, 6, snapshots=range(7))
+    for n, m in sorted(ms.items()):
+        surv, probs, counts = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
+                                              kill_x2=kill_x2, threshold=t)
+        assert m.survival() == surv
+        assert m.killed_mass + m.dropped_mass == 1.0 - surv
+        # 'auto' finds no positive horizontal drift and runs exactly
+        assert survival_prob(sd, x, n, spec) == (surv, 0.0)
+        assert half_plane_survival(sd, x[1], n, conv) == enumerate_paths(
+            sd.atoms, x, n, kill_x1=False, threshold=t)[0]
+        if kill_x2 and n >= 4 - t:
+            assert surv == 0.0 and m.cells.shape == (0, 0)
+        for y in set(probs) | {x, (x[0] + 1, x[1] - n)}:
+            assert m.local(y) == probs.get(y, 0.0)
+            assert count_paths(sd, x, y, n, spec) == counts.get(y, 0)
+        for y2 in range(x[1] - n - 1, x[1] + 1):
+            assert m.line_sum(y2) == sum(p for (_, b), p in probs.items() if b == y2)
+            got = count_line(sd, x, n, y2=y2, spec=spec)
+            assert type(got) is int
+            assert got == sum(c for (_, b), c in counts.items() if b == y2)
 
 
 # -- periodic laws: the measure stored on its lattice coset ----------------------
