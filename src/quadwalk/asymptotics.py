@@ -8,14 +8,15 @@ dynamic-programming value and emits (n, measured, predicted, ratio) rows.
 The boundary density q is derived by the time-reversal decomposition of the
 walk at n/2: the n^{-2} coefficient of P(x+S(n)=y, T_x>n) at height y2 is
 
-    d1 d2 * q((y1 - n mu1)/sqrt(n)) * H(y2) W(x),
+    index * q((y1 - n mu1)/sqrt(n)) * H(y2) W(x),
     q(z) = 4 kappa kappa' qbar(sqrt(2) z, 0)
          = (kappa kappa' / (2 sqrt(D))) exp(-sigma2^2 z^2 / (2 D)),
 
 with kappa' built from the strict ascending ladder (equivalently the strict
 descending ladder of the reversed vertical walk), the combination under
-which sqrt(m) P(tau'_y > m) -> kappa' H(y2).  Summing over the feasible
-y1 (spacing d1) gives the fixed-height line asymptotics with a single d2:
+which sqrt(m) P(tau'_y > m) -> kappa' H(y2), and index = det Lambda for the
+lattice Lambda of the increments.  Summing over the feasible y1 (spacing
+h11) gives the fixed-height line asymptotics with index / h11 = d2:
 
     P(x2 + S2(n) = y2, T_x > n) ~ d2 W(x) H(y2) int_q / n^{3/2},
     int_q = kappa kappa' sqrt(pi/2) / sigma2.
@@ -199,25 +200,25 @@ def predict_integral(n: int, u, kappa: float, W: float, gp: GaussParams) -> floa
     return kappa * W * integral_p_window(u, gp) / math.sqrt(n)
 
 
-def predict_llt(y, n: int, d1: int, d2: int, kappa: float, W: float,
+def predict_llt(y, n: int, index: int, kappa: float, W: float,
                 mu, gp: GaussParams) -> float:
-    """d1 d2 kappa W p((y - n mu)/sqrt(n)) / n^{3/2}."""
+    """index kappa W p((y - n mu)/sqrt(n)) / n^{3/2}, index = det Lambda."""
     s = math.sqrt(n)
     z = ((y[0] - n * mu[0]) / s, (y[1] - n * mu[1]) / s)
-    return d1 * d2 * kappa * W * density_p(z, gp) / n ** 1.5
+    return index * kappa * W * density_p(z, gp) / n ** 1.5
 
 
-def predict_boundary_llt(y, n: int, d1: int, d2: int, H_y2: float, W: float,
+def predict_boundary_llt(y, n: int, index: int, H_y2: float, W: float,
                          mu1: float, gp: GaussParams,
                          consts: AsymptoticConstants) -> float:
-    """d1 d2 q((y1 - n mu1)/sqrt(n)) H(y2) W / n^2."""
+    """index q((y1 - n mu1)/sqrt(n)) H(y2) W / n^2, index = det Lambda."""
     z1 = (y[0] - n * mu1) / math.sqrt(n)
-    return d1 * d2 * q_density(z1, gp, consts) * H_y2 * W / n ** 2
+    return index * q_density(z1, gp, consts) * H_y2 * W / n ** 2
 
 
 def predict_line(n: int, d2: int, H_y2: float, W: float,
                  consts: AsymptoticConstants) -> float:
-    """d2 W H(y2) int_q / n^{3/2} (one lattice factor: feasible y1 spacing is d1)."""
+    """d2 W H(y2) int_q / n^{3/2}, d2 = h22 = index / h11 (feasible y1 spacing h11)."""
     return d2 * W * H_y2 * consts.int_q / n ** 1.5
 
 
@@ -268,85 +269,6 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     gp = pipe.gauss
     mu = pipe.moments.mu
 
-    if theorem_id == "tail":
-        W = pipe.w_value(x)
-        snaps = dpmod.run_dp(pipe.sd, x, pipe.spec, schedule[-1],
-                             snapshots=schedule, barrier="auto")
-        for n in schedule:
-            m = snaps[n]
-            rows.append(_row("tail", n, m.survival(),
-                             predict_tail(n, pipe.consts.kappa, W),
-                             m.error_bound()))
-        return rows
-
-    if theorem_id == "integral":
-        W = pipe.w_value(x)
-        snaps = dpmod.run_dp(pipe.sd, x, pipe.spec, schedule[-1],
-                             snapshots=schedule, barrier=None)
-        for n in schedule:
-            m = snaps[n]
-            for u in windows:
-                tid = f"integral(u={u[0]}:{u[1]})"
-                rows.append(_row(tid, n, m.window_mass(u, mu),
-                                 predict_integral(n, u, pipe.consts.kappa, W, gp),
-                                 m.error_bound()))
-        return rows
-
-    if theorem_id in ("llt", "llt-half"):
-        half = theorem_id == "llt-half"
-        spec = (dpmod.ExitSpec(region=dpmod.Region.UPPER_HALF_PLANE,
-                               conv=pipe.spec.conv) if half else pipe.spec)
-        snaps = dpmod.run_dp(pipe.sd, x, spec, schedule[-1],
-                             snapshots=schedule, barrier=None)
-        W = pipe.v_eff(x[1]) if half else pipe.w_value(x)
-        for n in schedule:
-            m = snaps[n]
-            if y is None:
-                yy = pipe.nearest_lattice_point(
-                    x, n, (n * mu[0], max(math.sqrt(n), pipe.spec.threshold)))
-            else:
-                yy = tuple(y)
-                if not pipe.feasible(x, n, yy):
-                    note(f"n={n}: y={yy} not in the reachable lattice; skipped")
-                    continue
-            pred = predict_llt(yy, n, pipe.lattice.d1, pipe.lattice.d2,
-                               pipe.consts.kappa, W, mu, gp)
-            rows.append(_row(f"{theorem_id}(y={yy[0]}:{yy[1]})", n,
-                             m.local(yy), pred, m.error_bound()))
-        return rows
-
-    if theorem_id == "boundary-llt":
-        W = pipe.w_value(x)
-        snaps = dpmod.run_dp(pipe.sd, x, pipe.spec, schedule[-1],
-                             snapshots=schedule, barrier=None)
-        for n in schedule:
-            m = snaps[n]
-            yy = pipe.nearest_lattice_point(x, n, (n * mu[0], y2), fixed_y2=True)
-            if yy is None:
-                note(f"n={n}: no lattice point at height {y2}; skipped")
-                continue
-            pred = predict_boundary_llt(yy, n, pipe.lattice.d1,
-                                        pipe.lattice.d2, pipe.H(y2), W,
-                                        mu[0], gp, pipe.consts)
-            rows.append(_row(f"boundary-llt(y={yy[0]}:{yy[1]})", n,
-                             m.local(yy), pred, m.error_bound()))
-        return rows
-
-    if theorem_id == "line":
-        W = pipe.w_value(x)
-        snaps = dpmod.run_dp(pipe.sd, x, pipe.spec, schedule[-1],
-                             snapshots=schedule, barrier="auto")
-        for n in schedule:
-            m = snaps[n]
-            if (y2 - x[1] - pipe.lattice.a2 * n) % pipe.lattice.d2 != 0:
-                note(f"n={n}: height {y2} unreachable; skipped")
-                continue
-            rows.append(_row(f"line(y2={y2})", n, m.line_sum(y2),
-                             predict_line(n, pipe.lattice.d2, pipe.H(y2), W,
-                                          pipe.consts),
-                             m.error_bound()))
-        return rows
-
     if theorem_id == "qbar":
         for y1 in (-3.0, -1.0, 0.0, 1.0, 3.0):
             rows.append(_row(f"qbar(y1={y1})", 0,
@@ -369,4 +291,50 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
                              bm_kernel(s + t, xx, yy, mu_v, gp)))
         return rows
 
-    raise InputError(f"unknown theorem id {theorem_id!r}")
+    if theorem_id not in ("tail", "integral", "llt", "llt-half",
+                          "boundary-llt", "line"):
+        raise InputError(f"unknown theorem id {theorem_id!r}")
+    half = theorem_id == "llt-half"
+    spec = (dpmod.ExitSpec(region=dpmod.Region.UPPER_HALF_PLANE,
+                           conv=pipe.spec.conv) if half else pipe.spec)
+    W = pipe.v_eff(x[1]) if half else pipe.w_value(x)
+    snaps = dpmod.run_dp(pipe.sd, x, spec, schedule[-1], snapshots=schedule,
+                         barrier="auto" if theorem_id in ("tail", "line") else None)
+    kappa = pipe.consts.kappa
+    for n in schedule:
+        m = snaps[n]
+        err = m.error_bound()
+        if theorem_id == "tail":
+            rows.append(_row("tail", n, m.survival(), predict_tail(n, kappa, W), err))
+        elif theorem_id == "integral":
+            rows += [_row(f"integral(u={u[0]}:{u[1]})", n, m.window_mass(u, mu),
+                          predict_integral(n, u, kappa, W, gp), err)
+                     for u in windows]
+        elif theorem_id == "line":
+            if pipe.lattice.row(n, y2 - x[1]) is None:
+                note(f"n={n}: height {y2} unreachable; skipped")
+                continue
+            rows.append(_row(f"line(y2={y2})", n, m.line_sum(y2), predict_line(
+                n, pipe.lattice.d2, pipe.H(y2), W, pipe.consts), err))
+        elif theorem_id == "boundary-llt":
+            yy = pipe.nearest_lattice_point(x, n, (n * mu[0], y2), fixed_y2=True)
+            if yy is None:
+                note(f"n={n}: no lattice point at height {y2}; skipped")
+                continue
+            pred = predict_boundary_llt(yy, n, pipe.lattice.index, pipe.H(y2),
+                                        W, mu[0], gp, pipe.consts)
+            rows.append(_row(f"boundary-llt(y={yy[0]}:{yy[1]})", n,
+                             m.local(yy), pred, err))
+        else:  # llt and llt-half
+            if y is None:
+                yy = pipe.nearest_lattice_point(
+                    x, n, (n * mu[0], max(math.sqrt(n), pipe.spec.threshold)))
+            else:
+                yy = tuple(y)
+                if not pipe.feasible(x, n, yy):
+                    note(f"n={n}: y={yy} not in the reachable lattice; skipped")
+                    continue
+            pred = predict_llt(yy, n, pipe.lattice.index, kappa, W, mu, gp)
+            rows.append(_row(f"{theorem_id}(y={yy[0]}:{yy[1]})", n,
+                             m.local(yy), pred, err))
+    return rows

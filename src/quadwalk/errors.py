@@ -26,7 +26,7 @@ class ZeroTotalWeightError(InputError):
 
 
 class DegenerateSupportError(InputError):
-    """A coordinate of the step law has a single support value."""
+    """The step support lies on one line: its increments span rank < 2."""
 
 
 class InfeasibleDriftError(InputError):

@@ -98,6 +98,8 @@ class CrossingSolver:
     boundary values on {1-d, ..., 0}.  The bounded solutions are spanned by
     the constant together with z^h over the d-1 characteristic roots with
     |z| < 1, after removing the double root at z = 1 forced by zero drift.
+    A law whose values share a factor g > 1, whose g-th roots of unity are
+    roots too, is refused exactly, by gcd.
     """
 
     def __init__(self, pmf: dict[int, float]):
@@ -108,6 +110,10 @@ class CrossingSolver:
             raise DegenerateSupportError(
                 "crossing solver needs both up and down steps"
             )
+        g = math.gcd(*vals)
+        if g > 1:
+            raise UnsupportedLatticeError(
+                f"vertical steps all lie in {g}Z; rescale the walk")
         deg = self.u + self.d
         coeffs = np.zeros(deg + 1)
         for s, p in pmf.items():
@@ -123,14 +129,8 @@ class CrossingSolver:
                 )
         roots = np.roots(quot[::-1]) if len(quot) > 1 else np.array([])
         inside = [z for z in roots if abs(z) < 1 - 1e-8]
-        on_circle = [z for z in roots if 1 - 1e-8 <= abs(z) <= 1 + 1e-8]
-        if on_circle:
-            raise UnsupportedLatticeError(
-                "vertical step law has extra characteristic roots on the unit "
-                "circle (sublattice with zero offset); rescale the walk"
-            )
         if len(inside) != self.d - 1:
-            raise UnsupportedLatticeError(
+            raise NumericError(
                 f"expected {self.d - 1} interior roots, found {len(inside)}"
             )
         self.roots = np.array([1.0 + 0j] + inside)
@@ -174,11 +174,8 @@ def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention) -> LadderDis
     mean = math.fsum(v * p for v, p in pmf.items())
     if abs(mean) > 1e-10:
         raise NonzeroDriftError(f"vertical drift {mean:.3e} is not zero")
+    solver = CrossingSolver(pmf)  # refuses a law without up or down steps
     vals = sorted(pmf)
-    if vals[0] >= 0:
-        raise DegenerateSupportError("walk has no down steps: ladder undefined")
-    if vals[-1] <= 0:
-        raise DegenerateSupportError("walk has no up steps: absorption trivial")
     kill = conv.threshold             # lowest alive height
     absorbed = np.zeros(1 - vals[0])  # index = overshoot -pos
     for s in vals:
@@ -187,7 +184,6 @@ def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention) -> LadderDis
     alive = [s for s in vals if s >= kill]
     # the solver absorbs on <= 0: shift heights by 1 - kill, and its
     # overshoot j is the ladder's overshoot j + 1 - kill
-    solver = CrossingSolver(pmf)
     heights = np.array(alive) + 1 - kill
     absorbed[1 - kill:1 - kill + solver.d] += (
         np.array([pmf[s] for s in alive]) @ solver.overshoot_matrix(heights))

@@ -69,7 +69,8 @@ class ConditionedWalkPipeline:
         moments = compute_moments(sd)
         if abs(moments.mu2) > DRIFT_TOL:
             raise NonzeroDriftError(
-                f"vertical drift {moments.mu2:.3e}: tilt the walk first"
+                f"vertical drift {moments.mu2:.3e}: tilt the walk first (a "
+                f"drift along +x2 is the paper's case after swapping x1 and x2)"
             )
         if moments.mu1 <= 0:
             raise InputError("horizontal drift must be positive")
@@ -164,29 +165,7 @@ class ConditionedWalkPipeline:
         return in_lattice_support(self.lattice, n,
                                   (y[0] - x[0], y[1] - x[1]))
 
-    def _nearest_residue(self, target: float, residue: int, d: int,
-                         lo: int) -> int:
-        # ties round down
-        c = int(round(target))
-        c += (residue - c) % d
-        if c - d >= lo and abs(c - d - target) <= abs(c - target):
-            c -= d
-        return max(c, lo + ((residue - lo) % d))
-
     def nearest_lattice_point(self, x, n: int, target, fixed_y2: bool = False):
-        """Feasible point of D_n(x) inside the region nearest to ``target``.
-
-        With fixed_y2=True the second coordinate must equal target[1]
-        exactly; returns None when that height is not reachable at time n.
-        """
-        t = self.spec.threshold
-        r1 = (x[0] + self.lattice.a1 * n) % self.lattice.d1
-        r2 = (x[1] + self.lattice.a2 * n) % self.lattice.d2
-        y1 = self._nearest_residue(target[0], r1, self.lattice.d1, t)
-        if fixed_y2:
-            y2 = int(round(target[1]))
-            if (y2 - x[1] - self.lattice.a2 * n) % self.lattice.d2 != 0:
-                return None
-            return (y1, y2)
-        y2 = self._nearest_residue(target[1], r2, self.lattice.d2, t)
-        return (y1, y2)
+        """Feasible point of D_n(x) in the region nearest ``target``; see
+        ``LatticeStructure.nearest``."""
+        return self.lattice.nearest(x, n, target, self.spec.threshold, fixed_y2)

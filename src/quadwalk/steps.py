@@ -2,16 +2,16 @@
 
 A step set is a weighted list of integer increments (dx, dy).  This module
 normalizes and validates step sets, computes exact first and second moments,
-decomposes each coordinate into its arithmetic sublattice a + d*Z, and
-implements exponential tilting together with a Newton solver that finds the
-tilt achieving a prescribed drift.
+finds the lattice Lambda the increments generate, the one record of integer
+facts about the support, and implements exponential tilting together with a
+Newton solver that finds the tilt achieving a prescribed drift.
 
 It also holds ``_kill_step``, the one propagation kernel of the package:
 a single step of a walk killed on leaving a box, on a 1-D or 2-D measure of
 floats or of exact Python integers.  It advances every exact DP in ``dp``.
-The measure is stored on its lattice coset: with per-axis stride d
-(``_stride``, the d_i of ``lattice_decompose``) cell i stands for
-coordinate lo + d*i, since after any number of steps from one start every
+The measure is stored on a coset of the per-axis superlattice of Lambda:
+with stride d (``_stride``, the d_i of ``LatticeStructure``) cell i stands
+for coordinate lo + d*i, since after any number of steps from one start every
 reachable coordinate lies in one class modulo d.  The other d-1 classes,
 exact zeros in a unit-stride box, are never stored.  After each step
 ``_trim`` peels the lightest edge rows and columns while their mass fits
@@ -22,7 +22,6 @@ cells, and callers stop stepping it: mass only ever leaves a killed walk.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -102,12 +101,55 @@ class Moments:
 
 @dataclass(frozen=True)
 class LatticeStructure:
-    """Arithmetic decomposition X_i = a_i + d_i * Y_i with Y aperiodic."""
+    """The lattice Lambda the increments generate, and the walk's coset of it.
 
-    a1: int
-    d1: int
+    Lambda has the Hermite basis (h11, 0), (h12, h22) with 0 <= h12 < h11
+    and ``index`` h11 h22 = det Lambda.  After n steps the displacement lies
+    in n c + Lambda, c = (c1, a2) reduced to 0 <= a2 < h22, 0 <= c1 < h11.
+    Coordinate i alone lies in a_i n + d_i Z: d1 = gcd(h11, h12), d2 = h22.
+    """
+
+    h11: int
+    h12: int
+    h22: int
+    c1: int
     a2: int
-    d2: int
+
+    @property
+    def index(self) -> int:
+        return self.h11 * self.h22
+
+    @property
+    def d1(self) -> int:
+        return math.gcd(self.h11, self.h12)
+
+    @property
+    def a1(self) -> int:
+        return self.c1 % self.d1
+
+    @property
+    def d2(self) -> int:
+        return self.h22
+
+    def row(self, n: int, z2: int) -> int | None:
+        """z1 mod h11 for (z1, z2) in n c + Lambda; None if there is no z1."""
+        k, r = divmod(z2 - self.a2 * n, self.h22)
+        return None if r else (self.c1 * n + k * self.h12) % self.h11
+
+    def nearest(self, x, n: int, target, lo: int, fixed_y2: bool = False):
+        """Point y with y - x in n c + Lambda nearest ``target``: y2, then y1.
+
+        Both are >= lo, except that ``fixed_y2`` takes y2 = target[1] as it
+        is (None if that height is off the lattice); ties round down.
+        """
+        if fixed_y2:
+            y2 = int(round(target[1]))
+        else:
+            y2 = _nearest_residue(target[1], x[1] + self.a2 * n, self.h22, lo)
+        r1 = self.row(n, y2 - x[1])
+        if r1 is None:
+            return None
+        return (_nearest_residue(target[0], x[0] + r1, self.h11, lo), y2)
 
 
 @dataclass(frozen=True)
@@ -201,14 +243,10 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
     halved until the convex objective log phi(h) - h.target decreases by the
     Armijo fraction; divergence of |h| beyond 1e3, or no descent left above
     ``tol``, is reported as an infeasible target (on or outside the hull).
-    A support on one line is rejected up front, exactly from the integer
-    increments, since its tilt Hessian is singular.
+    A support on one line is rejected up front by ``lattice_decompose``,
+    since its tilt Hessian is singular.
     """
-    x0, y0 = sd.atoms[0][:2]
-    diffs = [(dx - x0, dy - y0) for dx, dy, _ in sd.atoms[1:]]
-    if not any(u1 * v2 - u2 * v1
-               for (u1, u2), (v1, v2) in itertools.combinations(diffs, 2)):
-        raise DegenerateSupportError("step support lies on one line")
+    lattice_decompose(sd)
     target = np.asarray(target_mu, dtype=float)
     h = np.zeros(2)
     logphi, grad, hess = _grad_hess_logphi(sd, h)
@@ -264,22 +302,38 @@ def _stride(atoms) -> tuple[int, ...]:
 
 
 def lattice_decompose(sd: StepDistribution) -> LatticeStructure:
-    """Maximal d_i with support(X_i) contained in a_i + d_i*Z, 0 <= a_i < d_i."""
-    out = []
-    for idx, d in enumerate(_stride(sd.atoms)):
-        vals = sorted({atom[idx] for atom in sd.atoms})
-        if len(vals) == 1:
-            raise DegenerateSupportError(
-                f"coordinate {idx + 1} has a single support value {vals[0]}"
-            )
-        out += [vals[0] % d, d]
-    return LatticeStructure(*out)
+    """Lattice of the atom differences s - s0 in Hermite form; rank < 2 raises.
+
+    Extended Euclid on the heights of the row (h12, h22) and a difference
+    leaves a row at their gcd and a first-axis vector, which joins h11.
+    """
+    (x0, y0), h11, row = sd.atoms[0][:2], 0, (0, 0)
+    for dx, dy, _ in sd.atoms[1:]:
+        u = (dx - x0, dy - y0)
+        while u[1]:
+            q = row[1] // u[1]
+            row, u = u, (row[0] - q * u[0], row[1] - q * u[1])
+        h11 = math.gcd(h11, u[0])
+    h12, h22 = row if row[1] >= 0 else (-row[0], -row[1])
+    if not h11 * h22:
+        raise DegenerateSupportError("step support lies on one line")
+    k, a2 = divmod(y0, h22)
+    return LatticeStructure(h11, h12 % h11, h22, (x0 - k * h12) % h11, a2)
 
 
 def in_lattice_support(ls: LatticeStructure, n: int, z) -> bool:
-    """True iff z is reachable modulo the lattice after n steps: (z_i - a_i n) % d_i == 0."""
-    z1, z2 = int(z[0]), int(z[1])
-    return (z1 - ls.a1 * n) % ls.d1 == 0 and (z2 - ls.a2 * n) % ls.d2 == 0
+    """True iff the displacement z lies in n c + Lambda, reachable modulo Lambda."""
+    r1 = ls.row(n, int(z[1]))
+    return r1 is not None and (int(z[0]) - r1) % ls.h11 == 0
+
+
+def _nearest_residue(target: float, residue: int, d: int, lo: int) -> int:
+    """The c = residue mod d with c >= lo nearest ``target``; ties round down."""
+    c = int(round(target))
+    c += (residue - c) % d
+    if c - d >= lo and abs(c - d - target) <= abs(c - target):
+        c -= d
+    return max(c, lo + ((residue - lo) % d))
 
 
 def load_steps(path) -> StepDistribution:

@@ -112,6 +112,18 @@ def direct_renewal_series(pmf, U, kmax=None, strict_lt=False, indicator_gt=False
     return values
 
 
+def lattice_index(vectors):
+    """det of the lattice the integer 2-vectors generate, 0 below rank 2.
+
+    The index of a lattice in Z^2 is the gcd of the 2x2 minors of any
+    generating set, so every pair of vectors is checked.
+    """
+    g = 0
+    for (u1, u2), (v1, v2) in itertools.combinations(vectors, 2):
+        g = math.gcd(g, u1 * v2 - u2 * v1)
+    return g
+
+
 def gauss1(z, var):
     return math.exp(-z * z / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 

@@ -203,14 +203,13 @@ def test_criterion_08_llt(pipe, full_snaps, half_snaps):
     for n in (256, 1024):
         y = pipe.nearest_lattice_point(X0, n, (n * mu[0], math.sqrt(n)))
         meas = full_snaps[n].local(y)
-        pred = asy.predict_llt(y, n, pipe.lattice.d1, pipe.lattice.d2,
-                               pipe.consts.kappa, W, mu, pipe.gauss)
+        pred = asy.predict_llt(y, n, pipe.lattice.index, pipe.consts.kappa,
+                               W, mu, pipe.gauss)
         errs_q[n] = abs(meas / pred - 1.0)
         meas_h = half_snaps[n].local(y)
         # the half-plane prediction is the quadrant one with V(x2) for W
-        pred_h = asy.predict_llt(y, n, pipe.lattice.d1, pipe.lattice.d2,
-                                 pipe.consts.kappa, pipe.v_eff(X0[1]), mu,
-                                 pipe.gauss)
+        pred_h = asy.predict_llt(y, n, pipe.lattice.index, pipe.consts.kappa,
+                                 pipe.v_eff(X0[1]), mu, pipe.gauss)
         errs_h[n] = abs(meas_h / pred_h - 1.0)
     assert errs_q[1024] <= 0.10 and errs_q[1024] < errs_q[256]
     assert errs_h[1024] <= 0.10 and errs_h[1024] < errs_h[256]
@@ -226,28 +225,26 @@ def test_criterion_09_boundary_llt_and_line(pipe, full_snaps):
     rb = {}
     for n in (512, 2048):
         y = pipe.nearest_lattice_point(X0, n, (n * mu1, 1), fixed_y2=True)
-        pred = asy.predict_boundary_llt(y, n, pipe.lattice.d1,
-                                        pipe.lattice.d2, H1, W, mu1,
+        pred = asy.predict_boundary_llt(y, n, pipe.lattice.index, H1, W, mu1,
                                         pipe.gauss, pipe.consts)
         rb[n] = full_snaps[n].local(y) / pred
     assert abs(rb[2048] - 1.0) <= 0.25
     assert abs(rb[2048] - 1.0) < abs(rb[512] - 1.0)
-    # line sum with the d2 lattice normalization (feasible y1 spacing is d1)
+    # line sum with the d2 lattice normalization (feasible y1 spacing is h11)
     rl = {}
     for n in (512, 2048):
         pred = asy.predict_line(n, pipe.lattice.d2, H1, W, pipe.consts)
         rl[n] = full_snaps[n].line_sum(1) / pred
     assert abs(rl[2048] - 1.0) <= 0.20
     assert abs(rl[2048] - 1.0) < abs(rl[512] - 1.0)
-    # an alternative d1*d2 normalization overcounts by exactly d1, since the
-    # feasible y1 at fixed height have spacing d1; pin the d2 choice by data
+    # an alternative index normalization overcounts by exactly h11, since the
+    # feasible y1 at fixed height have spacing h11; pin the d2 choice by data
     literal = full_snaps[2048].line_sum(1) / (
-        pipe.lattice.d1 * pipe.lattice.d2 * W * H1 * pipe.consts.int_q
-        / 2048 ** 1.5)
-    assert literal == pytest.approx(1.0 / pipe.lattice.d1, abs=0.05)
+        pipe.lattice.index * W * H1 * pipe.consts.int_q / 2048 ** 1.5)
+    assert literal == pytest.approx(1.0 / pipe.lattice.h11, abs=0.05)
     report(9, f"boundary ratios {rb[512]:.4f}->{rb[2048]:.4f}; line ratios "
               f"{rl[512]:.4f}->{rl[2048]:.4f} (d2 normalization; literal "
-              f"d1*d2 gives {literal:.4f} = 1/d1)")
+              f"index gives {literal:.4f} = 1/h11)")
 
 
 def test_criterion_10_closed_form_densities(pipe):

@@ -1,11 +1,12 @@
 """Closed-form densities against quadrature oracles; predictor algebra; verify harness."""
 
 import math
+from pathlib import Path
 
 import pytest
 from scipy import integrate
 
-from quadwalk import validate_steps
+from quadwalk import load_steps, validate_steps
 from quadwalk.asymptotics import (
     AsymptoticConstants,
     GaussParams,
@@ -150,11 +151,11 @@ class TestPredictorAlgebra:
         n, y = 64, (35, 6)
         assert predict_tail(n, c * 0.4, 0.8) == pytest.approx(
             c * predict_tail(n, 0.4, 0.8), rel=1e-15)
-        assert predict_llt(y, n, 2, 2, 0.4, c * 0.8, (0.5, 0.0), GP) == pytest.approx(
-            c * predict_llt(y, n, 2, 2, 0.4, 0.8, (0.5, 0.0), GP), rel=1e-15)
+        assert predict_llt(y, n, 4, 0.4, c * 0.8, (0.5, 0.0), GP) == pytest.approx(
+            c * predict_llt(y, n, 4, 0.4, 0.8, (0.5, 0.0), GP), rel=1e-15)
         consts = AsymptoticConstants(kappa=0.4, kappa_prime=0.9, int_q=0.5)
-        assert predict_boundary_llt(y, n, 2, 2, c * 1.0, 0.8, 0.5, GP, consts)== pytest.approx(
-            c * predict_boundary_llt(y, n, 2, 2, 1.0, 0.8, 0.5, GP, consts), rel=1e-15)
+        assert predict_boundary_llt(y, n, 4, c * 1.0, 0.8, 0.5, GP, consts)== pytest.approx(
+            c * predict_boundary_llt(y, n, 4, 1.0, 0.8, 0.5, GP, consts), rel=1e-15)
         assert predict_line(n, 2, c * 1.0, 0.8, consts) == pytest.approx(
             c * predict_line(n, 2, 1.0, 0.8, consts), rel=1e-15)
 
@@ -162,8 +163,8 @@ class TestPredictorAlgebra:
         n = 100
         at_mode = (int(n * 0.5), 8)
         on_axis = (int(n * 0.5), 0)
-        assert predict_llt(at_mode, n, 2, 2, 0.4, 0.8, (0.5, 0.0), GP) > 0
-        assert predict_llt(on_axis, n, 2, 2, 0.4, 0.8, (0.5, 0.0), GP) == 0.0
+        assert predict_llt(at_mode, n, 4, 0.4, 0.8, (0.5, 0.0), GP) > 0
+        assert predict_llt(on_axis, n, 4, 0.4, 0.8, (0.5, 0.0), GP) == 0.0
 
     def test_integral_predictor_empty_window(self):
         assert predict_integral(64, (0.0, -2.0), 0.4, 0.8, GP) == 0.0
@@ -186,6 +187,31 @@ class TestVerticalVariance:
         assert pipe15.moments.sigma22 == 1.5
         (row,) = verify(theorem, pipe15, n_schedule=(1024,))
         assert row.ratio == pytest.approx(want, abs=5e-4)
+
+
+class TestNonProductLattice:
+    """The LLT predictors carry index = det Lambda, not d1 d2.
+
+    Both laws have d1 = d2 = 1; with the product lattice the chosen point
+    could carry no mass (ratio 0) and the boundary rows read index times 1.
+    """
+
+    @pytest.mark.parametrize("law, index, llt_lo, llt_hi", [
+        ("lazy-index2", 2, 0.98, 1.02),
+        # its n^{-1/2} correction is still about 0.29 at n = 1024
+        ("index3", 3, 1.1, 1.5)])
+    def test_ratios_at_n_1024(self, monkeypatch, law, index, llt_lo, llt_hi):
+        from quadwalk import dp
+        sd = load_steps(Path(__file__).parents[1] / "steps" / f"{law}.json")
+        pipe = ConditionedWalkPipeline.build(sd)
+        assert (pipe.lattice.index, pipe.lattice.d1, pipe.lattice.d2) == (index, 1, 1)
+        snaps = dp.run_dp(sd, (1, 2), pipe.spec, 1024, snapshots=(1024,),
+                          barrier=None)
+        monkeypatch.setattr(dp, "run_dp", lambda *a, **k: snaps)
+        (llt,) = verify("llt", pipe, x=(1, 2), n_schedule=(1024,))
+        (boundary,) = verify("boundary-llt", pipe, x=(1, 2), n_schedule=(1024,))
+        assert llt_lo <= llt.ratio <= llt_hi
+        assert boundary.ratio == pytest.approx(1.0, abs=0.02)
 
 
 class TestVerifyHarness:

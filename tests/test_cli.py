@@ -8,6 +8,7 @@ import pytest
 from quadwalk import singular_steps, solve_drift, validate_steps
 from quadwalk.cli import main
 from quadwalk.dp import ExitSpec, count_paths, survival_prob
+from quadwalk.errors import DegenerateSupportError
 from quadwalk.ladders import CrossingSolver
 from quadwalk.montecarlo import simulate_survival
 from quadwalk.pipeline import ConditionedWalkPipeline
@@ -267,6 +268,29 @@ def test_dp_survive_auto_is_exact_without_horizontal_drift(capsys, tmp_path):
                            *where)
     assert code == 3
     assert "positive horizontal drift" in err
+
+
+@pytest.mark.parametrize("steps, argv, msg", [
+    # vertical values {-2, 0, 2}: the ladder solver refuses a law on 2Z
+    ([(1, 2), (1, -2), (-1, 0)], ("ladders", "--dir", "down"), "2Z"),
+    ([(1, 2), (1, -2), (-1, 0)], ("harmonic-w", "--x", "1,1"), "2Z"),
+    # support on one line, with two values on each axis
+    ([(1, -1), (3, 1)], ("harmonic-w", "--x", "1,1"), "one line"),
+])
+def test_lattice_refusals_exit_3(capsys, tmp_path, steps, argv, msg):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": dx, "dy": dy, "w": 1} for dx, dy in steps]}))
+    code, out, err = run_cli(capsys, "--steps", str(path), *argv)
+    assert (code, out) == (3, "")
+    assert msg in err
+
+
+def test_build_refuses_support_on_one_line():
+    # zero vertical drift and positive horizontal drift, but rank 1: this
+    # used to reach GaussParams and fail there with a plain InputError
+    with pytest.raises(DegenerateSupportError, match="one line"):
+        ConditionedWalkPipeline.build(validate_steps([((1, -1), 1), ((3, 1), 1)]))
 
 
 def test_threads_env_not_an_integer_exit_2(capsys, monkeypatch, tilted_file):

@@ -10,7 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadwalk import compute_moments, validate_steps
-from quadwalk.errors import InputError, NonzeroDriftError, NumericError
+from quadwalk.errors import (
+    InputError,
+    NonzeroDriftError,
+    NumericError,
+    UnsupportedLatticeError,
+)
 from quadwalk.ladders import (
     BoundaryConvention,
     CrossingSolver,
@@ -229,6 +234,18 @@ class TestMassChecks:
         solver.coeffs = 3.0 * solver.coeffs
         with pytest.raises(NumericError):
             solver.overshoot_matrix(np.arange(1, 6))
+
+    def test_interior_root_count_mismatch_is_numeric(self, monkeypatch):
+        # with gcd 1 a zero-drift law has exactly d - 1 interior roots, so
+        # a miscount can only come from the root finder
+        monkeypatch.setattr(np, "roots", lambda c: np.full(len(c) - 1, 2.0))
+        with pytest.raises(NumericError, match="interior roots"):
+            CrossingSolver({-2: 0.25, -1: 0.25, 1: 0.25, 2: 0.25})
+
+    def test_support_on_a_sublattice_refused_exactly(self):
+        # all values in 2Z: z = -1 is a characteristic root as well
+        with pytest.raises(UnsupportedLatticeError, match="2Z"):
+            CrossingSolver({-2: 0.25, 0: 0.5, 2: 0.25})
 
     def test_truncation_error_is_signed(self):
         # rounding may leave the completed mass a few ulp above 1; the

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadwalk import (
@@ -24,6 +24,8 @@ from quadwalk.errors import (
     NegativeWeightError,
     ZeroTotalWeightError,
 )
+
+from oracles import lattice_index
 
 HSTAR = (0.0, -0.5 * math.log(2.0))
 
@@ -158,8 +160,32 @@ class TestLattice:
 
     def test_degenerate_rejected(self):
         sd = validate_steps([((1, 1), 1), ((1, -1), 1)])
-        with pytest.raises(DegenerateSupportError):
+        with pytest.raises(DegenerateSupportError, match="one line"):
             lattice_decompose(sd)
+
+    @pytest.mark.parametrize("raw", [
+        [((1, -1), 1), ((3, 1), 1), ((5, 3), 1)],  # two values per axis
+        [((2, 2), 1)],
+    ])
+    def test_support_on_one_line_rejected(self, raw):
+        # rank below 2, not a single value on an axis, is the rule
+        with pytest.raises(DegenerateSupportError, match="one line"):
+            lattice_decompose(validate_steps(raw))
+
+    @pytest.mark.parametrize("raw, basis, index", [
+        # lazy law: Lambda = {z1 + z2 even}, both axes aperiodic
+        ([((1, 1), .25), ((1, -1), .25), ((0, 0), .3), ((2, 0), .2)],
+         (2, 1, 1, 0, 0), 2),
+        ([((-1, -2), 1), ((2, 1), 2), ((0, 0), 1)], (3, 2, 1, 0, 0), 3),
+        # the lazy law moved by (1, 0): the coset moves, Lambda does not
+        ([((2, 1), 1), ((2, -1), 1), ((1, 0), 1), ((3, 0), 1)],
+         (2, 1, 1, 1, 0), 2),
+    ])
+    def test_non_product_lattice(self, raw, basis, index):
+        ls = lattice_decompose(validate_steps(raw))
+        assert (ls.h11, ls.h12, ls.h22, ls.c1, ls.a2) == basis
+        assert ls.index == index
+        assert (ls.d1, ls.d2) == (1, 1)
 
     def test_membership_examples(self):
         ls = lattice_decompose(singular_steps())
@@ -178,6 +204,8 @@ class TestLattice:
         [((1, -1), 1), ((1, 1), 1), ((-1, 1), 1)],
         [((2, 0), 1), ((4, 2), 1), ((2, -2), 1), ((-2, 0), 1)],
         [((0, 3), 1), ((3, 0), 1), ((-3, -3), 1), ((3, 3), 1)],
+        [((1, 1), .25), ((1, -1), .25), ((0, 0), .3), ((2, 0), .2)],
+        [((-1, -2), 1), ((2, 1), 2), ((0, 0), 1)],
     ])
     def test_every_reachable_sum_is_in_support(self, raw):
         sd = validate_steps(raw)
@@ -251,9 +279,59 @@ def test_solve_drift_roundtrip(sd, h):
     tilted, _ = tilt(sd, h)
     target = compute_moments(tilted).mu
     try:
-        tp = solve_drift(sd, target)
+        lattice_decompose(sd)
     except DegenerateSupportError:
-        # collinear supports have singular Hessians; out of scope here
+        # a support on one line has a singular Hessian: refused up front
+        with pytest.raises(DegenerateSupportError):
+            solve_drift(sd, target)
         return
+    tp = solve_drift(sd, target)
     re_tilted, _ = tilt(sd, tp.h)
     assert compute_moments(re_tilted).mu == pytest.approx(target, abs=1e-10)
+
+
+def _diffs(sd):
+    x0, y0 = sd.atoms[0][:2]
+    return [(dx - x0, dy - y0) for dx, dy, _ in sd.atoms[1:]]
+
+
+@given(step_sets())
+@settings(max_examples=50, deadline=None)
+def test_lattice_matches_minor_oracle(sd):
+    diffs = _diffs(sd)
+    index = lattice_index(diffs)
+    if index == 0:
+        with pytest.raises(DegenerateSupportError):
+            lattice_decompose(sd)
+        return
+    ls = lattice_decompose(sd)
+    assert ls.index == index
+    assert 0 <= ls.h12 < ls.h11 and 0 <= ls.c1 < ls.h11 and 0 <= ls.a2 < ls.h22
+    assert ls.d1 == math.gcd(*(u1 for u1, _ in diffs))
+    assert ls.d2 == math.gcd(*(u2 for _, u2 in diffs))
+    x0, y0 = sd.atoms[0][:2]
+    for n in range(3):
+        for z in itertools.product(range(-3, 4), repeat=2):
+            w = (z[0] - n * x0, z[1] - n * y0)
+            # z - n s0 is in Lambda iff adding it leaves the index unchanged
+            assert in_lattice_support(ls, n, z) == (
+                lattice_index(diffs + [w]) == index)
+
+
+@given(step_sets(), st.integers(0, 6),
+       st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       st.tuples(st.floats(-5.0, 20.0), st.floats(-5.0, 20.0)),
+       st.integers(0, 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_nearest_lattice_point_is_feasible(sd, n, x, target, lo, fixed_y2):
+    assume(lattice_index(_diffs(sd)))
+    ls = lattice_decompose(sd)
+    y = ls.nearest(x, n, target, lo, fixed_y2)
+    if y is None:
+        assert fixed_y2 and ls.row(n, round(target[1]) - x[1]) is None
+        return
+    assert in_lattice_support(ls, n, (y[0] - x[0], y[1] - x[1]))
+    assert y[0] >= lo and (fixed_y2 or y[1] >= lo)
+    # no feasible neighbour at that height, above lo, is strictly nearer
+    for y1 in (y[0] - ls.h11, y[0] + ls.h11):
+        assert y1 < lo or abs(y1 - target[0]) >= abs(y[0] - target[0])
