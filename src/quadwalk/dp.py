@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
@@ -235,23 +234,44 @@ class QuadrantMeasure:
         return float(self.cells[tuple(box)].sum())
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Last float a of [lo, hi] with f(a) <= 0 where the increasing f turns positive."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) <= 0 else (lo, mid)
+    return lo
+
+
+def _mgf(hp: dict[int, float], s: float, k: int = 0) -> float:
+    """k-th derivative of phi(s) = E[exp(-s X1)] for the horizontal law ``hp``."""
+    return math.fsum(p * (-v) ** k * math.exp(-s * v) for v, p in hp.items())
+
+
+def _mgf_min(hp: dict[int, float]) -> tuple[float, float]:
+    """(s*, phi(s*)) for the argmin s* of the convex phi on [1e-9, 50]."""
+    s = _bisect(lambda s: _mgf(hp, s, 1), 1e-9, 50.0)
+    return s, _mgf(hp, s)
+
+
 def chernoff_gamma(sd: StepDistribution) -> float:
-    """Positive root gamma of E[exp(-gamma X1)] = 1; inf if X1 >= 0 a.s."""
+    """Positive root gamma of phi(s) = E[exp(-s X1)] = 1; inf if X1 >= 0 a.s.
+
+    phi is convex with phi(0) = 1 and slope -mu1 < 0 at 0, so it increases
+    on (s*, inf) through its one positive root.  Bisection there, to
+    adjacent floats, returns the end whose computed phi is <= 1, so gamma
+    exceeds the root by no more than the rounding of phi itself allows and
+    exp(-gamma (L+1)) is a bound up to that rounding.
+    """
     hp = sd.horizontal_pmf()
     if compute_moments(sd).mu1 <= 0:
         raise InputError("Chernoff barrier rate needs positive horizontal drift")
     if min(hp) >= 0:
         return math.inf  # the walk can never move left of its start
-
-    def logmgf(s):
-        return math.log(math.fsum(p * math.exp(-s * v) for v, p in hp.items()))
-
     hi = 1.0
-    while logmgf(hi) <= 0:
+    while _mgf(hp, hi) <= 1:
         hi *= 2.0
         if hi > 1e6:
             raise InputError("no positive Chernoff root found")
-    return float(brentq(logmgf, 1e-12, hi, xtol=1e-14, rtol=1e-15))
+    return _bisect(lambda s: _mgf(hp, s) - 1, _mgf_min(hp)[0], hi)
 
 
 def auto_barrier(sd: StepDistribution, x, target: float = 1e-12) -> int:
@@ -292,7 +312,7 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     leaked_total = m.leaked_total
     if leaked.size:
         leaked, (leak_lo,), (cut,), drop = _kill_step(
-            leaked, (leak_lo,), sorted(sd.vertical_pmf().items()), kill[1:],
+            leaked, (leak_lo,), sd.vertical_atoms, kill[1:],
             (d2,), budget=budget)
         killed += float(cut.sum())
         budget -= float(drop)
@@ -379,7 +399,7 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     kill = (conv.threshold,)
     if x2 < kill[0]:
         raise InputError(f"start height {x2} is outside the region")
-    atoms = sorted(sd.vertical_pmf().items())
+    atoms = sd.vertical_atoms
     stride = _stride(atoms)
     alive, lo = np.ones(1), (x2,)
     for _ in range(n):

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 # step_measure is re-exported: the benchmark's tracer test reads it here
-from .dp import ExitSpec, chernoff_gamma, step_measure  # noqa: F401
+from .dp import ExitSpec, _mgf_min, chernoff_gamma, step_measure  # noqa: F401
 from .errors import BarrierError, InputError
 from .steps import StepDistribution, compute_moments
 
@@ -50,8 +49,10 @@ class HarmonicEstimate:
 class TailBound:
     """Ingredients for the bracket on E[V(x2+S2(sigma)); sigma > n].
 
-    ``phi_min`` is min_s E[exp(-s X1)] and ``s_star`` its argmin, so
-    P(sigma_x = k) <= exp(-s* x1) phi_min^k; ``v_slope`` bounds V(u) <= v_slope*u
+    ``s_star`` is where the bisected phi' of phi(s) = E[exp(-s X1)] turns
+    positive on [1e-9, 50] and ``phi_min`` is phi(s*); P(sigma_x = k) <=
+    exp(-s x1) phi(s)^k at every s > 0, so the pair is a bound however s* is
+    rounded.  ``v_slope`` bounds V(u) <= v_slope*u
     (the geometric resummation gives V_weak(u) <= (u+1)/(1-p0)).  ``gamma``
     is the barrier rate of ``dp.chernoff_gamma``, 0 without a positive drift.
     """
@@ -90,14 +91,10 @@ def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
         return TailBound(s_star=0.0, phi_min=0.0, v_slope=v_slope,
                          max_dy=sd.max_abs_dy(), gamma=math.inf)
 
-    def neg_mgf(s):
-        return math.fsum(p * math.exp(-s * v) for v, p in hp.items())
-
-    res = minimize_scalar(neg_mgf, bounds=(1e-9, 50.0), method="bounded",
-                          options={"xatol": 1e-12})
+    s_star, phi_min = _mgf_min(hp)
     gamma = chernoff_gamma(sd) if compute_moments(sd).mu1 > 0 else 0.0
-    return TailBound(s_star=float(res.x), phi_min=float(res.fun),
-                     v_slope=v_slope, max_dy=sd.max_abs_dy(), gamma=gamma)
+    return TailBound(s_star=s_star, phi_min=phi_min, v_slope=v_slope,
+                     max_dy=sd.max_abs_dy(), gamma=gamma)
 
 
 def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
@@ -153,7 +150,6 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
     ncol = barrier - t + 1
     h = np.asarray(v[t:x2 + N * up + 1], dtype=float)
     f = np.tile(h, (ncol, 1))
-    vert = sorted(sd.vertical_pmf().items())
     rect = (slice(x1 - t, barrier - max_dx - t + 1), slice(0, x2 - t + 1))
     snaps = [f[rect]]
     for k in range(1, N + 1):
@@ -162,7 +158,7 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
         g[left + ncol:] = hp
         g[left:left + ncol, down:] = f
         f = _pull(g, sd.atoms, (left, down), (ncol, len(h) - up))
-        h = _pull(hp, vert, (down,), (len(h) - up,))
+        h = _pull(hp, sd.vertical_atoms, (down,), (len(h) - up,))
         if k in checkpoints:
             snaps.append(f[rect])
     ns = [0] + [n for n in checkpoints if n <= N]

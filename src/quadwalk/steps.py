@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class StepDistribution:
         for _, dy, w in self.atoms:
             out[dy] = out.get(dy, 0.0) + w
         return out
+
+    @cached_property
+    def vertical_atoms(self) -> tuple[tuple[int, float], ...]:
+        """(dy, p) atoms of the vertical marginal in increasing dy, built once."""
+        return tuple(sorted(self.vertical_pmf().items()))
 
     def horizontal_pmf(self) -> dict[int, float]:
         out: dict[int, float] = {}

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,39 @@ def test_verify_qbar(capsys, steps_file):
     code, out, _ = run_cli(capsys, "--steps", steps_file, "verify", "qbar")
     assert code == 0
     assert len(out.strip().splitlines()) == 6
+
+
+# Runs every command but the two quadrature oracles in a fresh process and
+# prints the scipy modules loaded, then the line counts of the oracles'
+# output (header plus 5 qbar and 2 kernel rows), which load scipy on use.
+SCIPY_GUARD = """
+import contextlib, io, sys
+from quadwalk.cli import main
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["--steps", sys.argv[1], *argv]) == 0, argv
+    return buf.getvalue()
+
+for theorem in ("llt", "boundary-llt", "integral", "tail", "line"):
+    run("verify", theorem, "--n-schedule", "32,64")
+run("harmonic-w", "--x", "2,2")
+run("dp", "survive", "--x", "1,1", "--n", "40")
+run("dp", "line", "--x", "1,1", "--n", "12")
+run("mc", "survive", "--x", "1,1", "--n", "20", "--reps", "1000")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print([len(run("verify", t).splitlines()) for t in ("qbar", "kernel")])
+"""
+
+
+def test_scipy_stays_off_the_import_path(tilted_file):
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", SCIPY_GUARD, tilted_file],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "[6, 3]"]
 
 
 def test_missing_steps_file_exit_3(capsys):
