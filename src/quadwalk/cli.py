@@ -156,14 +156,18 @@ def cmd_renewal(args):
 
 
 def cmd_harmonic_w(args):
+    if not args.tol > 0:
+        raise InputError(f"--tol must be positive, got {args.tol!r}")
     pipe = _pipeline(args)
     est = pipe.w(args.x, tol=args.tol)
+    table = Table(["x1", "x2", "lower", "value", "upper", "n_used"],
+                  [[args.x[0], args.x[1], est.lower, est.value, est.upper,
+                    est.n_used]])
     if est.warned:
-        print(f"warning: bracket width {est.width!r} above tol {args.tol!r}",
-              file=sys.stderr)
-    return Table(["x1", "x2", "lower", "value", "upper", "n_used"],
-                 [[args.x[0], args.x[1], est.lower, est.value, est.upper,
-                   est.n_used]])
+        raise NumericError(
+            f"bracket width {est.width!r} above tol {args.tol!r}",
+            residual=est.width, partial=dict(zip(table.columns, table.rows[0])))
+    return table
 
 
 def cmd_dp(args):

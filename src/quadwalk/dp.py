@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,7 @@ class ExitSpec:
     def kills_x2(self) -> bool:
         return self.region in (Region.QUADRANT, Region.UPPER_HALF_PLANE)
 
-    @property
+    @cached_property
     def kill(self) -> tuple[int | None, int | None]:
         """Per-axis lowest surviving value, None on an axis never killed."""
         t = self.threshold
@@ -281,7 +282,7 @@ def auto_barrier(sd: StepDistribution, x, target: float = 1e-12) -> int:
         L = 0
     else:
         L = int(math.ceil(-math.log(target) / gamma)) + 1
-    return max(L, sd.max_abs_dx(), int(x[0]) + sd.max_abs_dx())
+    return max(L, sd.max_abs_dx, int(x[0]) + sd.max_abs_dx)
 
 
 def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
@@ -290,9 +291,9 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     The point mass at n = 0 takes the stride of ``sd``; every later
     measure keeps its own, which must be that of the same law.
     """
-    if m.barrier is not None and m.barrier < sd.max_abs_dx():
+    if m.barrier is not None and m.barrier < sd.max_abs_dx:
         raise BarrierError(
-            f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx()}"
+            f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx}"
         )
     kill = m.spec.kill
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
@@ -361,7 +362,7 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
             raise InputError("a barrier only makes sense with a horizontal kill")
         gamma = chernoff_gamma(sd)
         L = auto_barrier(sd, x) if barrier == "auto" else int(barrier)
-        if L < sd.max_abs_dx():
+        if L < sd.max_abs_dx:
             raise BarrierError(f"barrier {L} smaller than max |dx|")
     m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=gamma)
     want = set(snapshots) if snapshots else {n_max}
@@ -421,7 +422,7 @@ def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
     lo = (int(x[0]), int(x[1]))
     if not spec.contains(lo):
         raise InputError(f"start {x} is not inside the survival region")
-    atoms = [(dx, dy, 1) for dx, dy, _ in sd.atoms]
+    atoms = tuple((dx, dy, 1) for dx, dy, _ in sd.atoms)
     stride = _stride(atoms)
     counts = np.ones((1, 1), dtype=object)
     for _ in range(n):

@@ -89,12 +89,12 @@ def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
     if min(hp) >= 0:
         # the walk never moves left: sigma_x is impossible from x1 >= 1
         return TailBound(s_star=0.0, phi_min=0.0, v_slope=v_slope,
-                         max_dy=sd.max_abs_dy(), gamma=math.inf)
+                         max_dy=sd.max_abs_dy, gamma=math.inf)
 
     s_star, phi_min = _mgf_min(hp)
     gamma = chernoff_gamma(sd) if compute_moments(sd).mu1 > 0 else 0.0
     return TailBound(s_star=s_star, phi_min=phi_min, v_slope=v_slope,
-                     max_dy=sd.max_abs_dy(), gamma=gamma)
+                     max_dy=sd.max_abs_dy, gamma=gamma)
 
 
 def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
@@ -126,7 +126,7 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
     rectangle that holds a start gives it the same estimate.
     """
     x1, x2 = int(x[0]), int(x[1])
-    t, max_dx = spec.threshold, sd.max_abs_dx()
+    t, max_dx = spec.threshold, sd.max_abs_dx
     if not (spec.kills_x1 and spec.kills_x2 and spec.contains((x1, x2))):
         raise InputError(f"start {x} is not inside the quadrant")
     if barrier < x1 + max_dx:

@@ -150,7 +150,7 @@ class ConditionedWalkPipeline:
         x = (int(x[0]), int(x[1]))
         if (x, tol) not in self._w_cache:
             L = auto_barrier(self.sd, x, BARRIER_TARGET)
-            v = self.v_eff_vector(x[1] + (N_MAX + 1) * self.sd.max_abs_dy())
+            v = self.v_eff_vector(x[1] + (N_MAX + 1) * self.sd.max_abs_dy)
             rect = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
                           N_MAX, L)
             self._w_cache.update(((y, tol), est) for y, est in rect.items())

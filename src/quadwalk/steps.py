@@ -18,6 +18,15 @@ exact zeros in a unit-stride box, are never stored.  After each step
 the caller's budget and returns what it peeled; the default budget 0
 removes exact zeros only.  A measure peeled or killed to nothing has no
 cells, and callers stop stepping it: mass only ever leaves a killed walk.
+
+The kernel runs once per step, tens of thousands of times in a long run,
+so it keeps its per-step Python work small.  ``_step_plan`` derives what a
+law's atoms mean for a measure (least shifts, cell offsets, the
+off-lattice check, the dense 1-D convolution kernel) once per
+(atoms, stride, ndim) and caches it.  The first atom's product is written
+into the zero box instead of added to it: 0 + x == x, so no cell changes.
+On a 1-D measure every edge slab is one cell, and ``_trim`` walks
+inward from the two ends, lightest end first and the low end on a tie.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +45,7 @@ from .errors import (
     InfeasibleDriftError,
     InputError,
     NegativeWeightError,
+    NumericError,
     ZeroTotalWeightError,
 )
 
@@ -83,9 +94,11 @@ class StepDistribution:
             out[dx] = out.get(dx, 0.0) + w
         return out
 
+    @cached_property
     def max_abs_dx(self) -> int:
         return max(abs(dx) for dx, _, _ in self.atoms)
 
+    @cached_property
     def max_abs_dy(self) -> int:
         return max(abs(dy) for _, dy, _ in self.atoms)
 
@@ -241,29 +254,80 @@ def _grad_hess_logphi(sd: StepDistribution, h):
             np.array([[cxx, cxy], [cxy, cyy]]))
 
 
+def _cross(o, a, b):
+    """(a - o) x (b - o): > 0 when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(points) -> list[tuple[int, int]]:
+    """Vertices of the convex hull of integer points, counter-clockwise.
+
+    Andrew's monotone chain on exact integers; points on an edge are dropped.
+    """
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out: list = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+def _require_interior(sd: StepDistribution, target: tuple[float, float]) -> None:
+    """Raise ``InfeasibleDriftError`` unless ``target`` is strictly inside the hull.
+
+    Exact: the hull has integer vertices and each float coordinate of the
+    target is taken as the ``Fraction`` it equals.  The error names the
+    hull edge nearest the target.
+    """
+    if not all(map(math.isfinite, target)):
+        raise InfeasibleDriftError(f"target drift {target} is not finite")
+    t = tuple(Fraction(c) for c in target)
+    hull = _hull([(dx, dy) for dx, dy, _ in sd.atoms])
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    if all(_cross(a, b, t) > 0 for a, b in edges):
+        return
+
+    def dist2(edge):
+        (a1, a2), (b1, b2) = edge
+        e1, e2 = b1 - a1, b2 - a2
+        u = min(max(Fraction((t[0] - a1) * e1 + (t[1] - a2) * e2, e1 * e1 + e2 * e2), 0), 1)
+        return (t[0] - a1 - u * e1) ** 2 + (t[1] - a2 - u * e2) ** 2
+
+    a, b = min(edges, key=dist2)
+    raise InfeasibleDriftError(
+        f"target drift {target} is not strictly inside the hull of the support: "
+        f"nearest edge {a}-{b}, at distance {math.sqrt(dist2((a, b)))!r}"
+    )
+
+
 def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
                 max_iter: int = 100) -> TiltParams:
     """Find h with tilted drift equal to ``target_mu`` by damped Newton.
 
-    Newton iterates on grad log phi(h) = target with steps of length <= 1,
-    halved until the convex objective log phi(h) - h.target decreases by the
-    Armijo fraction; divergence of |h| beyond 1e3, or no descent left above
-    ``tol``, is reported as an infeasible target (on or outside the hull).
-    A support on one line is rejected up front by ``lattice_decompose``,
-    since its tilt Hessian is singular.
+    A target on or outside the convex hull of the support has no tilt and
+    is refused up front by an exact test (``InfeasibleDriftError``), and so
+    is a support on one line (``lattice_decompose``), whose tilt Hessian is
+    singular.  Newton then iterates on grad log phi(h) = target with steps
+    of length <= 1, halved until the convex objective log phi(h) - h.target
+    decreases by the Armijo fraction.  An interior target it cannot reach to
+    ``tol`` (|h| beyond 1e3, or no descent left) is a ``NumericError``.
     """
     lattice_decompose(sd)
-    target = np.asarray(target_mu, dtype=float)
+    shown = (float(target_mu[0]), float(target_mu[1]))
+    _require_interior(sd, shown)
+    target = np.array(shown)
     h = np.zeros(2)
     logphi, grad, hess = _grad_hess_logphi(sd, h)
     res = float(np.linalg.norm(grad - target))
     for _ in range(max_iter):
         if res <= tol:
             break
-        try:
-            delta = np.linalg.solve(hess, target - grad)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateSupportError(str(exc)) from exc
+        delta = np.linalg.solve(hess, target - grad)
         # a full Newton step from far away can land where the tilted law
         # sits on one atom and the Hessian is numerically singular
         delta /= max(1.0, float(np.linalg.norm(delta)))
@@ -282,13 +346,10 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
             break  # no descent left at this precision
         h, logphi, grad, hess, res = h_new, logphi_new, grad_new, hess_new, res_new
         if np.linalg.norm(h) > 1e3:
-            raise InfeasibleDriftError(
-                f"target drift {tuple(target)} infeasible: |h| diverged"
-            )
+            raise NumericError(f"target drift {shown}: |h| diverged", residual=res)
     if res > tol:
-        raise InfeasibleDriftError(
-            f"target drift {tuple(target)} not reached: residual {res:.3e}"
-        )
+        raise NumericError(f"target drift {shown} not reached: residual {res:.3e}",
+                           residual=res)
     return tilt(sd, h)[1]
 
 
@@ -355,10 +416,29 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple):
     ``a[i]`` is at coordinate lo + stride*i on each axis.  The lightest of
     the box's edge slabs (first and last row, first and last column) is
     peeled for as long as the total peeled stays <= ``budget``; budget 0
-    peels exact-zero edges only.  Returns (array, lo, dropped), ``dropped``
-    the sum of the peeled slabs.  An array peeled to nothing comes back
-    with no cells, shape (0,) * ndim.
+    peels exact-zero edges only.  A tie peels the first of them in that
+    order, so a 1-D tie peels the low end.  Returns (array, lo, dropped),
+    ``dropped`` the sum of the peeled slabs in peel order.  An array peeled
+    to nothing comes back with no cells, shape (0,) * ndim.
     """
+    if a.ndim == 1:
+        # each slab is one cell: walk inward from the two ends
+        i0, i1, dropped = 0, len(a), 0
+        while i0 < i1:
+            high = a[i1 - 1] < a[i0]
+            mass = a[i1 - 1] if high else a[i0]
+            if dropped + mass > budget:
+                break
+            dropped += mass
+            if high:
+                i1 -= 1
+            else:
+                i0 += 1
+        if i0 == i1:
+            return np.zeros(0, dtype=a.dtype), lo, dropped
+        if i1 - i0 == len(a):
+            return a, lo, dropped
+        return np.ascontiguousarray(a[i0:i1]), (lo[0] + stride[0] * i0,), dropped
     span = [[0, n] for n in a.shape]
     dropped = 0
     while all(s0 < s1 for s0, s1 in span):
@@ -382,16 +462,42 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple):
     return np.ascontiguousarray(a[tuple(box)]), lo, dropped
 
 
-def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple, budget=0):
+@lru_cache(maxsize=64)
+def _step_plan(atoms: tuple, stride: tuple, nd: int):
+    """How ``_kill_step`` moves a measure by ``atoms``, derived once per law.
+
+    Returns (smin, grow, moves, dense): ``smin`` the least shift on each
+    axis, ``moves`` one (p, offset, ...) per atom in atom order, an offset
+    (shift - min shift) / d cells on each axis, ``grow`` the largest offset
+    on each axis, and ``dense`` for nd = 1 the atoms summed into one
+    read-only convolution kernel (else None).  A shift off its axis's class
+    modulo the stride raises ``InputError``.
+    """
+    shifts = list(zip(*atoms))[:nd]
+    smin = tuple(min(c) for c in shifts)
+    if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):
+        raise InputError(f"step shifts {shifts} are off the lattice of stride {stride}")
+    offs = [[(s - s0) // d for s in c] for c, s0, d in zip(shifts, smin, stride)]
+    moves = tuple((at[nd], *o) for at, *o in zip(atoms, *offs))
+    dense = None
+    if nd == 1:
+        dense = np.zeros(max(offs[0]) + 1)
+        for p, i in moves:
+            dense[i] += p
+        dense.flags.writeable = False
+    return smin, tuple(max(o) for o in offs), moves, dense
+
+
+def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budget=0):
     """One step of a walk killed on leaving a box: convolve, kill, peel edges.
 
     ``a`` is a nonempty 1-D or 2-D measure with ``a[i]`` at coordinate
     lo + d*i, with one offset lo and one stride d per axis, of any dtype
     that adds: float64, or object holding Python ints for exact path counts.
-    ``atoms`` are (shift, ..., p) tuples with one shift per axis, all shifts
-    of an axis in one class modulo its stride (see ``_stride``); an atom
-    moves the array by (shift - min shift) / d cells.  ``kill[ax]`` is the
-    lowest surviving coordinate on an axis, or None.
+    ``atoms`` is a tuple of (shift, ..., p) tuples with one shift per axis,
+    all shifts of an axis in one class modulo its stride (see ``_stride``);
+    an atom moves the array by (shift - min shift) / d cells.  ``kill[ax]``
+    is the lowest surviving coordinate on an axis, or None.
 
     Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed
     below ``kill[ax]``, its last entry at the highest coset point below it
@@ -401,27 +507,26 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms, kill, stride: tuple, budget=0):
     cells once nothing survives; callers do not step it further.
     """
     nd = a.ndim
-    shifts = list(zip(*atoms))[:nd]
-    smin = [min(c) for c in shifts]
-    if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):
-        raise InputError(f"step shifts {shifts} are off the lattice of stride {stride}")
-    offs = [[(s - s0) // d for s in c] for c, s0, d in zip(shifts, smin, stride)]
+    smin, grow, moves, dense = _step_plan(atoms, stride, nd)
     if nd == 1 and a.dtype != object:
         # one np.convolve call costs far less than per-atom adds on the
         # short line measures of leaked mass and half-planes
-        dense = np.zeros(max(offs[0]) + 1)
-        for i, (_, p) in zip(offs[0], atoms):
-            dense[i] += p
         new = np.convolve(a, dense)
     else:
-        new = np.zeros([n + max(o) for n, o in zip(a.shape, offs)], dtype=a.dtype)
+        new = np.zeros([n + g for n, g in zip(a.shape, grow)], dtype=a.dtype)
         tmp = None  # scratch for p * a, freed before _trim copies the box
-        for at, *at_offs in zip(atoms, *offs):
+        for k, (p, *at_offs) in enumerate(moves):
             box = tuple(slice(i, i + n) for i, n in zip(at_offs, a.shape))
-            if at[nd] == 1:
+            if k == 0:
+                # the box is still zero and 0 + x == x: write, do not add
+                if p == 1:
+                    new[box] = a
+                else:
+                    np.multiply(a, p, out=new[box])
+            elif p == 1:
                 new[box] += a
             else:
-                tmp = np.multiply(a, at[nd], out=tmp)
+                tmp = np.multiply(a, p, out=tmp)
                 new[box] += tmp
         del tmp
     lo = [c + s0 for c, s0 in zip(lo, smin)]

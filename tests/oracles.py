@@ -7,6 +7,8 @@ one by one, renewal series are summed term by term from their definition.
 import itertools
 import math
 
+import numpy as np
+
 
 def enumerate_paths(atoms, x, n, kill_x1=True, kill_x2=True, threshold=1,
                     barrier=None):
@@ -122,6 +124,56 @@ def lattice_index(vectors):
     for (u1, u2), (v1, v2) in itertools.combinations(vectors, 2):
         g = math.gcd(g, u1 * v2 - u2 * v1)
     return g
+
+
+def trim_slabs(a, lo, budget, stride):
+    """Generic slab peel, the reference for ``steps._trim``.
+
+    Each round sums every edge slab of the box (first and last row, first
+    and last column) and peels the lightest, the first of equals in that
+    order, while the total peeled stays <= ``budget``.  Returns (array, lo,
+    dropped) with ``dropped`` summed in peel order; an array peeled to
+    nothing has shape (0,) * ndim.
+    """
+    span = [[0, n] for n in a.shape]
+    dropped = 0
+    while all(s0 < s1 for s0, s1 in span):
+        box = [slice(s0, s1) for s0, s1 in span]
+        best = None
+        for ax, (s0, s1) in enumerate(span):
+            for side, i in ((0, s0), (1, s1 - 1)):
+                mass = a[tuple(box[:ax] + [slice(i, i + 1)] + box[ax + 1:])].sum()
+                if best is None or mass < best[0]:
+                    best = (mass, ax, side)
+        mass, ax, side = best
+        if dropped + mass > budget:
+            break
+        dropped += mass
+        span[ax][side] += 1 - 2 * side
+    if any(s0 >= s1 for s0, s1 in span):
+        return np.zeros((0,) * a.ndim, dtype=a.dtype), lo, dropped
+    if all(sp == [0, n] for sp, n in zip(span, a.shape)):
+        return a, lo, dropped
+    lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, span))
+    return np.ascontiguousarray(a[tuple(box)]), lo, dropped
+
+
+def convolve_atoms(a, atoms, stride):
+    """Unkilled step of a measure on a stride-``stride`` coset, atom by atom.
+
+    A zero box, then ``p * a`` added at each atom's cell offset in atom
+    order (``a`` itself when p is 1).  Returns (array, smin): the least
+    shift per axis, where the array's first cell moved.
+    """
+    nd = a.ndim
+    smin = [min(at[ax] for at in atoms) for ax in range(nd)]
+    offs = [[(at[ax] - smin[ax]) // stride[ax] for ax in range(nd)] for at in atoms]
+    shape = [n + max(o[ax] for o in offs) for ax, n in enumerate(a.shape)]
+    out = np.zeros(shape, dtype=a.dtype)
+    for at, off in zip(atoms, offs):
+        box = tuple(slice(i, i + n) for i, n in zip(off, a.shape))
+        out[box] += a if at[nd] == 1 else a * at[nd]
+    return out, smin
 
 
 def gauss1(z, var):

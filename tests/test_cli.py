@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quadwalk import singular_steps, solve_drift, validate_steps
+from quadwalk import pipeline, singular_steps, solve_drift, validate_steps
 from quadwalk.cli import main
 from quadwalk.dp import ExitSpec, count_paths, survival_prob
 from quadwalk.errors import DegenerateSupportError
@@ -365,3 +365,38 @@ def test_numeric_failure_exit_4_with_partial(capsys, monkeypatch, tilted_file):
     assert "numeric failure" in err
     obj = json.loads(out)
     assert "partial" in obj
+
+
+def test_tilt_solve_target_on_hull_edge_exit_3(capsys, tmp_path):
+    # (0.5, 0) is the midpoint of the hull edge (0,-1)-(1,1): no tilt reaches it
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": 1, "dy": -1, "w": 1}, {"dx": 0, "dy": -1, "w": 1},
+        {"dx": 1, "dy": 1, "w": 1}]}))
+    code, out, err = run_cli(capsys, "--steps", str(path), "tilt", "solve",
+                             "--drift", "0.5,0")
+    assert (code, out) == (3, "")
+    assert "(0.5, 0.0)" in err and "nearest edge (1, 1)-(0, -1)" in err
+
+
+def test_harmonic_w_unmet_tol_exit_4_with_partial(capsys, monkeypatch, tilted_file):
+    # a short horizon keeps the run cheap; no tol below the rounding term is met
+    monkeypatch.setattr(pipeline, "N_MAX", 64)
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "harmonic-w",
+                             "--x", "1,1", "--tol", "1e-14")
+    assert code == 4
+    assert "numeric failure: bracket width" in err
+    row = json.loads(out)["partial"]
+    est = ConditionedWalkPipeline.build(validate_steps(
+        [((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)])).w((1, 1), tol=1e-14)
+    assert est.warned and row == {"x1": 1, "x2": 1, "lower": est.lower,
+                                  "value": est.value, "upper": est.upper,
+                                  "n_used": 64}
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_harmonic_w_nonpositive_tol_exit_3(capsys, tilted_file, tol):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "harmonic-w",
+                             "--x", "1,1", "--tol", tol)
+    assert (code, out) == (3, "")
+    assert "--tol must be positive" in err

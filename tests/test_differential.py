@@ -251,7 +251,7 @@ def test_periodic_barrier_runs_match_enumeration(sd, region, conv, n, extra, dat
     kill_x1, kill_x2 = KILLS[region]
     surv, probs, _ = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
                                      kill_x2=kill_x2, threshold=spec.threshold)
-    m = run_dp(sd, x, spec, n, barrier=sd.max_abs_dx() + extra)[n]
+    m = run_dp(sd, x, spec, n, barrier=sd.max_abs_dx + extra)[n]
     assert m.survival() == pytest.approx(surv, abs=1e-13)
     r = 5 * n + 1
     for y2 in range(x[1] - r, x[1] + r + 1):
@@ -336,7 +336,7 @@ def _check_w_rect(sd, spec, x, n, L, v, oracle_barrier):
     t = spec.threshold
     # no width is below a negative tol: every checkpoint up to n_max = n runs
     rect = w_rect(sd, x, spec, v, make_tail_bound(sd, 1.0), -1.0, n, L)
-    assert set(rect) == {(y1, y2) for y1 in range(x[0], L - sd.max_abs_dx() + 1)
+    assert set(rect) == {(y1, y2) for y1 in range(x[0], L - sd.max_abs_dx + 1)
                          for y2 in range(t, x[1] + 1)}
     ns = sorted({0, n} | {2 ** k for k in range(n.bit_length())})
     for y, est in rect.items():
@@ -364,8 +364,8 @@ def test_w_rect_matches_enumeration(sd, conv, n, extra, data):
     # only its vertical kill, as the leaked measure does
     spec = ExitSpec(conv=conv)
     x = data.draw(starts(spec.threshold))
-    L = x[0] + sd.max_abs_dx() + extra
-    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy() + 1))
+    L = x[0] + sd.max_abs_dx + extra
+    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy + 1))
     _check_w_rect(sd, spec, x, n, L, v, oracle_barrier=L)
 
 
@@ -377,6 +377,6 @@ def test_w_rect_exact_barrier_matches_enumeration(sd, conv, n, extra, data):
     # barrier run equals the plain quadrant walk
     spec = ExitSpec(conv=conv)
     x = data.draw(starts(spec.threshold))
-    L = x[0] + sd.max_abs_dx() + extra
-    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy() + 1))
+    L = x[0] + sd.max_abs_dx + extra
+    v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy + 1))
     _check_w_rect(sd, spec, x, n, L, v, oracle_barrier=None)

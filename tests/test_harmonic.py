@@ -33,7 +33,7 @@ def w_star(p, x, tol=1e-10):
     For a walk whose vertical part is the simple symmetric one this is the
     explicit harmonic function of the counting application.
     """
-    v = np.arange(x[1] + (pipeline.N_MAX + 1) * p.sd.max_abs_dy() + 1.0)
+    v = np.arange(x[1] + (pipeline.N_MAX + 1) * p.sd.max_abs_dy + 1.0)
     L = auto_barrier(p.sd, x, pipeline.BARRIER_TARGET)
     return w_rect(p.sd, x, p.spec, v, make_tail_bound(p.sd, 1.0), tol,
                   pipeline.N_MAX, L)[x]
@@ -101,7 +101,7 @@ class TestSeries:
         # the forward DP with the same barrier, V-weighted at the end, at
         # every checkpoint of the history
         p = ConditionedWalkPipeline.build(steps())
-        height = 100 + 4097 * p.sd.max_abs_dy()
+        height = 100 + 4097 * p.sd.max_abs_dy
         for x in ((1, 1), (2, 5), (5, 2), (100, 8)):
             L = auto_barrier(p.sd, x, 1e-16)
             for est, v in ((p.w(x), p.v_eff_vector(height)),
@@ -183,7 +183,7 @@ class TestHatRepresentation:
     # value of W at every finite n, up to the barrier's 1e-16
 
     def hat(self, p, x, n):
-        v = p.v_eff_vector(x[1] + (n + 1) * p.sd.max_abs_dy())
+        v = p.v_eff_vector(x[1] + (n + 1) * p.sd.max_abs_dy)
         return doob_survival(p.sd.atoms, x, v, n, p.spec.threshold)
 
     def test_matches_series_at_finite_n(self, pipe):

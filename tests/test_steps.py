@@ -21,11 +21,13 @@ from quadwalk.errors import (
     DegenerateSupportError,
     EmptyStepSetError,
     InfeasibleDriftError,
+    InputError,
     NegativeWeightError,
     ZeroTotalWeightError,
 )
+from quadwalk.steps import _kill_step, _trim
 
-from oracles import lattice_index
+from oracles import convolve_atoms, lattice_index, trim_slabs
 
 HSTAR = (0.0, -0.5 * math.log(2.0))
 
@@ -335,3 +337,113 @@ def test_nearest_lattice_point_is_feasible(sd, n, x, target, lo, fixed_y2):
     # no feasible neighbour at that height, above lo, is strictly nearer
     for y1 in (y[0] - ls.h11, y[0] + ls.h11):
         assert y1 < lo or abs(y1 - target[0]) >= abs(y[0] - target[0])
+
+
+def _boundary_segments(points):
+    """Ordered pairs (a, b) of points with every point on or left of a -> b."""
+    return [(a, b) for a in points for b in points if a != b
+            and all((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0
+                    for p in points)]
+
+
+@given(step_sets(), st.integers(0, 99), st.integers(0, 8),
+       st.sampled_from([0.0, 2.0 ** -10, 0.25, 1.0, 3.0]))
+@example(validate_steps([((1, -1), 1.0), ((0, -1), 1.0), ((1, 1), 1.0)]), 2, 4, 0.0)
+@settings(max_examples=60, deadline=None)
+def test_solve_drift_refuses_targets_on_or_outside_the_hull(sd, pick, eighths, out):
+    # a dyadic point of a boundary segment, moved ``out`` along its outer
+    # normal: exact in floats, and on the hull (out = 0) or outside it
+    assume(lattice_index(_diffs(sd)))
+    segments = _boundary_segments([at[:2] for at in sd.atoms])
+    a, b = segments[pick % len(segments)]
+    e1, e2 = b[0] - a[0], b[1] - a[1]
+    u = eighths / 8
+    target = (a[0] + u * e1 + out * e2, a[1] + u * e2 - out * e1)
+    with pytest.raises(InfeasibleDriftError, match="nearest edge"):
+        solve_drift(sd, target)
+
+
+# -- the propagation kernel against its references ----------------------------
+
+def _same(x, y):
+    """Same dtype, shape and cells, bit for bit (exact ints for object arrays)."""
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    return x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
+
+
+line_cells = st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                       st.floats(0.0, 2.0 ** -1022, allow_subnormal=True),
+                       st.floats(1e-40, 1e-30))
+
+
+@given(st.lists(line_cells, min_size=1, max_size=12), st.booleans(), st.booleans(),
+       st.integers(-5, 5), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_trim_line_matches_slab_peel(cells, equal_ends, exact, lo, stride, data):
+    a = np.array(cells)
+    if exact:  # Python ints, as exact counts hold them
+        a = np.array([int(c * 1e6) for c in cells], dtype=object)
+    if equal_ends:
+        a[-1] = a[0]
+    total = float(a.sum())
+    budget = data.draw(st.one_of(st.just(0), st.floats(0.0, total), st.just(total),
+                                 st.just(math.inf)))
+    got, want = _trim(a, (lo,), budget, (stride,)), trim_slabs(a, (lo,), budget, (stride,))
+    assert _same(got[0], want[0]) and got[1] == want[1]
+    assert type(got[2]) is type(want[2]) and float(got[2]).hex() == float(want[2]).hex()
+
+
+@st.composite
+def kernel_cases(draw):
+    exact = draw(st.booleans())
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    base = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    if exact:
+        weight = st.integers(1, 5)
+        cell = st.one_of(st.just(0), st.integers(0, 2 ** 70))
+    else:
+        weight = st.one_of(st.just(1.0), st.floats(1e-3, 1.0))
+        cell = st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                         st.floats(0.0, 2.0 ** -1022, allow_subnormal=True))
+    atoms = tuple(
+        (base[0] + stride[0] * draw(st.integers(-2, 2)),
+         base[1] + stride[1] * draw(st.integers(-2, 2)), draw(weight))
+        for _ in range(draw(st.integers(1, 4))))
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = np.array(draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2)),
+                 dtype=object if exact else float).reshape(n1, n2)
+    lo = (draw(st.integers(-3, 6)), draw(st.integers(-3, 6)))
+    kill = (draw(st.none() | st.integers(-4, 8)), draw(st.none() | st.integers(-4, 8)))
+    return a, lo, atoms, kill, stride
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_kill_step_matches_atom_by_atom_reference(case):
+    a, lo, atoms, kill, stride = case
+    alive, alive_lo, cuts, dropped = _kill_step(a, lo, atoms, kill, stride)
+    ref, smin = convolve_atoms(a, atoms, stride)
+    first = [c + s for c, s in zip(lo, smin)]
+    # cells killed on each axis: those below its kill line
+    k = [0 if kl is None else sum(f + d * i < kl for i in range(n))
+         for f, kl, d, n in zip(first, kill, stride, ref.shape)]
+    assert _same(cuts[1], ref[:, :k[1]]) and _same(cuts[0], ref[:k[0], k[1]:])
+    assert dropped == 0
+    rest = ref[k[0]:, k[1]:]
+    if not alive.size:
+        assert not np.any(rest != 0)
+        return
+    off = [(c - f) // d - kk for c, f, d, kk in zip(alive_lo, first, stride, k)]
+    box = tuple(slice(o, o + n) for o, n in zip(off, alive.shape))
+    assert _same(alive, rest[box])
+    outside = rest.copy()
+    outside[box] = 0
+    assert not np.any(outside != 0)  # the budget 0 peels exact zeros only
+
+
+def test_kill_step_refuses_shifts_off_the_stride():
+    atoms = ((0, 0, 0.5), (1, 0, 0.5))
+    for _ in range(2):  # the step plan is cached; its refusal is not
+        with pytest.raises(InputError, match="off the lattice"):
+            _kill_step(np.ones((1, 1)), (0, 0), atoms, (None, None), (2, 1))
