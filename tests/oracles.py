@@ -187,3 +187,44 @@ def reflected_product_kernel(t, x, y, mu, sigma1sq, sigma2sq):
         y[1] + x[1] - t * mu[1], t * sigma2sq
     )
     return horiz * vert
+
+
+def mc_block_survivors(atoms, kill, x, n, count, seed, block_idx):
+    """Paths of one Monte Carlo block alive after n steps, by float uniforms.
+
+    atoms: list of (dx, dy, prob); kill: per axis the lowest surviving
+    value, None on an axis never killed.  The block's stream is
+    Generator(Philox(key=(seed, block_idx))); each step draws one uniform
+    per survivor with ``random``, picks the atom by ``searchsorted`` over
+    the cumulative weights and moves every killed coordinate in an array
+    of its own.
+    """
+    cum = np.cumsum([w for _, _, w in atoms])
+    cum[-1] = 1.0
+    axes = [i for i, k in enumerate(kill) if k is not None]
+    shifts = [np.array([atom[i] for atom in atoms], dtype=np.int64)
+              for i in axes]
+    key = np.array([seed, block_idx], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    pos = [np.full(count, int(x[i]) - kill[i], dtype=np.int64) for i in axes]
+    for _ in range(n):
+        if not pos[0].size:
+            break
+        idx = np.searchsorted(cum, rng.random(pos[0].size), side="right")
+        keep = None
+        for p, s in zip(pos, shifts):
+            p += s[idx]
+            keep = p >= 0 if keep is None else keep & (p >= 0)
+        pos = [p[keep] for p in pos]
+    return pos[0].size
+
+
+def mc_block_sizes(reps, block_size):
+    """Paths per block when reps are cut into blocks of block_size."""
+    return [min(block_size, reps - start) for start in range(0, reps, block_size)]
+
+
+def mc_estimate(counts, reps):
+    """(mean, 95% normal half-width) from the per-block survivor counts."""
+    mean = sum(counts) / reps
+    return mean, 1.96 * math.sqrt(mean * (1.0 - mean) / reps)

@@ -105,6 +105,29 @@ def test_mc_seed_after_subcommand(capsys, tilted_file):
     assert out_a == out_b
 
 
+def test_mc_untracked_axis_start_and_the_packed_bound(capsys, tilted_file):
+    # x2 starts too high to reach its threshold in 5 steps, so its 3e9 never
+    # enters the packed 32-bit state
+    code, out, _ = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                           "--x", "1,3000000000", "--n", "5", "--reps", "100")
+    assert code == 0
+    assert out.splitlines()[1] == "0.73,0.0870160536912586,100,12345"
+    # the tilted law moves at most 1 up and 1 down per axis: n * 2 >= 2^31
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                             "--x", "1,1", "--n", str(2 ** 30), "--reps", "100")
+    assert (code, out) == (3, "")
+    assert "2^31" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_mc_seed_outside_one_word_exits_3(capsys, tilted_file, seed):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "mc", "survive",
+                             "--x", "1,1", "--n", "5", "--reps", "100",
+                             "--seed", seed)
+    assert (code, out) == (3, "")
+    assert "seed must be in [0, 2^64)" in err
+
+
 def test_harmonic_w_byte_identity(capsys, tilted_file):
     code, out, _ = run_cli(capsys, "--steps", tilted_file, "harmonic-w",
                            "--x", "2,3")

@@ -2,12 +2,28 @@
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadwalk import validate_steps
 from quadwalk.dp import ExitSpec, Region, survival_prob
 from quadwalk.errors import InputError
-from quadwalk.montecarlo import simulate_survival
+from quadwalk.ladders import BoundaryConvention
+from quadwalk.montecarlo import (
+    BLOCK_SIZE,
+    _atom_edges,
+    _kernel,
+    _survival_count,
+    simulate_survival,
+)
+
+from oracles import mc_block_sizes, mc_block_survivors, mc_estimate
+
+# after normalisation a weight this small rounds the partial sums before
+# it to 1.0 when it comes last in atom order
+TINY = (1e-17, 3e-17, 1e-300)
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +136,103 @@ def test_first_step_exit_gives_zero_at_once():
     assert time.perf_counter() - t0 < 5.0
     assert est.mean == 0.0
     assert est.half_width_95 == 0.0
+
+
+@st.composite
+def mc_laws(draw):
+    k = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 10.0) | st.sampled_from(TINY),
+                            min_size=k, max_size=k))
+    return list(zip(steps, weights))
+
+
+@given(law=mc_laws(), region=st.sampled_from(list(Region)),
+       conv=st.sampled_from(list(BoundaryConvention)),
+       offset=st.tuples(st.integers(0, 3) | st.integers(0, 150),
+                        st.integers(0, 3) | st.integers(0, 150)),
+       n=st.integers(0, 40), reps=st.integers(1, 3 * BLOCK_SIZE),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(law=[((-1, 1), 1.0), ((1, -1), 1.0), ((1, 1), 1e-17)],
+         region=Region.QUADRANT, conv=BoundaryConvention.KILL_ON_NONPOSITIVE,
+         offset=(0, 0), n=40, reps=3 * BLOCK_SIZE, seed=2 ** 64 - 1)
+@settings(max_examples=30, deadline=None)
+def test_matches_float_oracle_bit_for_bit(law, region, conv, offset, n, reps,
+                                          seed):
+    sd = validate_steps(law)
+    spec = ExitSpec(region=region, conv=conv)
+    x = tuple(spec.threshold + o for o in offset)
+    sizes = mc_block_sizes(reps, BLOCK_SIZE)
+    counts = [mc_block_survivors(sd.atoms, spec.kill, x, n, c, seed, b)
+              for b, c in enumerate(sizes)]
+    kernel = _kernel(sd, x, n, spec)
+    assert [_survival_count(kernel, n, c, seed, b)
+            for b, c in enumerate(sizes)] == counts
+    est = simulate_survival(sd, x, n, reps, seed, spec=spec)
+    assert (est.mean, est.half_width_95) == mc_estimate(counts, reps)
+
+
+def test_uniform_is_top_53_bits_of_the_raw_word():
+    key = np.array([2 ** 64 - 1, 2], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(1000)
+    u = np.random.Generator(np.random.Philox(key=key)).random(1000)
+    assert [(int(w) >> 11) * 2.0 ** -53 for w in words] == u.tolist()
+
+
+@pytest.mark.parametrize("weights", [
+    [0.1, 0.2, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 3], [1e-300, 0.5, 0.5 - 1e-300],
+    [1.0, 1e-17, 1e-17], [0.25, 0.25, 0.5], [0.7, 0.1, 0.1, 0.1]])
+def test_edges_pick_the_float_atom(weights):
+    # the float rule at the words either side of every edge and at the top;
+    # each edge is the first word that picks the next atom
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    edges = _atom_edges(weights)
+    assert len(edges) == np.count_nonzero(cum < 1.0)
+
+    def picks(word):
+        float_pick = np.searchsorted(cum, (word >> 11) * 2.0 ** -53,
+                                     side="right")
+        assert edges.searchsorted(np.uint64(word), side="right") == float_pick
+        return float_pick
+
+    picks(2 ** 64 - 1)
+    for t in edges.tolist():
+        assert picks(t - 1) < picks(t)
+
+
+def test_packed_state_bound(tilted):
+    # the tilted law steps at most 1 up and 1 down on each axis
+    _kernel(tilted, (1, 1), 2 ** 30 - 1, ExitSpec())
+    with pytest.raises(InputError, match=r"2\^31"):
+        _kernel(tilted, (1, 1), 2 ** 30, ExitSpec())
+    # an axis that cannot reach its threshold within n steps is not tracked,
+    # so neither its start nor a large n counts against the bound
+    _kernel(tilted, (1, 2 ** 31 + 1), 2 ** 31,
+            ExitSpec(region=Region.UPPER_HALF_PLANE))
+
+
+@pytest.mark.parametrize("n, up", [(1, 2 ** 31 - 2), (2, 2 ** 30 - 2)])
+def test_fields_stay_exact_up_to_the_bound(n, up):
+    # n * (up + 1) is just below 2^31: live fields climb past 2^30, and a
+    # field that drops below 0 borrows from the field above it
+    sd = validate_steps([((up, -1), 1.0), ((-1, up), 1.0), ((up, up), 1.0),
+                         ((-1, -1), 1.0)])
+    spec = ExitSpec()
+    kernel = _kernel(sd, (1, 1), n, spec)
+    for seed in range(3):
+        assert _survival_count(kernel, n, 5000, seed, 0) == \
+            mc_block_survivors(sd.atoms, spec.kill, (1, 1), n, 5000, seed, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_one_word_raises(tilted, seed):
+    with pytest.raises(InputError, match=r"seed must be in \[0, 2\^64\)"):
+        simulate_survival(tilted, (1, 1), 5, 100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seed_at_either_end_runs(tilted, seed):
+    est = simulate_survival(tilted, (1, 1), 5, 100, seed=seed)
+    assert est.seed == seed
