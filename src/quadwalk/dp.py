@@ -8,6 +8,17 @@ residue classes, exact zeros, are never stored.  It is advanced one step
 at a time by the package's single propagation kernel, ``steps._kill_step``;
 mass landing outside the survival region is removed and accounted.
 
+The kernel lays the box out in rows of the grown box's width, so each atom
+adds one contiguous run of a flat array.  A ``run_dp`` chain carries one
+``steps._Buffers`` in its measures and steps in it: the padded input, the
+output box and a scratch, grown geometrically and never freed between
+steps.  A chain's box is thus a view the next step overwrites, so
+``run_dp`` copies each snapshot out, except the last, which keeps its
+buffer.  Every array that is summed, a snapshot copy included, keeps the
+shape and strides a fresh step gives it: numpy sums a strided box row by
+row and a contiguous one as one flat run, and the two round differently.
+The values are those of fresh arrays, bit for bit.
+
 Each step may also peel whole edge rows and columns off the box, lightest
 first, while the mass peeled in that step stays within ``PRUNE_BUDGET``
 (1e-33).  The peeled mass is summed into ``dropped_mass``, so after n steps
@@ -40,14 +51,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import StepDistribution, _kill_step, _stride, _trim, compute_moments
+from .steps import (StepDistribution, _Buffers, _kill_step, _stride, _trim,
+                    compute_moments)
 
 # Mass that ``step_measure`` may peel off the edges of a measure per step,
 # shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
@@ -150,6 +162,9 @@ class QuadrantMeasure:
     dropped_mass: float = 0.0
     leaked_total: float = 0.0
     gamma: float = math.inf  # Chernoff rate for the barrier bound
+    # buffers of the run stepping this measure; its cells may be views of
+    # them, overwritten by the next step_measure
+    _work: _Buffers | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None,
@@ -289,7 +304,9 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     """One convolution-and-kill step; returns a fresh measure.
 
     The point mass at n = 0 takes the stride of ``sd``; every later
-    measure keeps its own, which must be that of the same law.
+    measure keeps its own, which must be that of the same law.  A measure
+    of a ``run_dp`` chain passes its run's buffers on, and the box of the
+    measure returned lives in them; any other gets fresh arrays.
     """
     if m.barrier is not None and m.barrier < sd.max_abs_dx:
         raise BarrierError(
@@ -302,7 +319,7 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     new, lo1, lo2 = m.cells, m.lo1, m.lo2
     if new.size:
         new, (lo1, lo2), cuts, drop = _kill_step(new, (lo1, lo2), sd.atoms,
-                                                 kill, stride, budget=budget)
+                                                 kill, stride, budget, m._work)
         for cut in cuts:
             killed += float(cut.sum())
         budget -= float(drop)
@@ -337,8 +354,17 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
         n=m.n + 1, cells=new, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
         barrier=m.barrier, leaked=leaked, leak_lo=leak_lo,
         killed_mass=killed, dropped_mass=dropped,
-        leaked_total=leaked_total, gamma=m.gamma,
+        leaked_total=leaked_total, gamma=m.gamma, _work=m._work,
     )
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """Copy of the 2-D ``a`` that sums as it does: contiguous, or rows as wide."""
+    if a.flags.c_contiguous:
+        return a.copy()
+    out = np.empty((a.shape[0], a.strides[0] // a.itemsize), a.dtype)[:, :a.shape[1]]
+    out[...] = a
+    return out
 
 
 def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
@@ -349,7 +375,8 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     ``barrier='auto'`` sizes the barrier by ``auto_barrier`` so the error
     bound is below 1e-12; ``barrier=None`` keeps the exact joint measure,
     and so does 'auto' on a law without positive horizontal drift, which
-    has no Chernoff rate to size a barrier by.
+    has no Chernoff rate to size a barrier by.  Each snapshot owns its
+    box and steps with fresh arrays.
     """
     if n_max < 0:
         raise InputError("n must be >= 0")
@@ -369,10 +396,13 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     out: dict[int, QuadrantMeasure] = {}
     if 0 in want:
         out[0] = m
+    m = replace(m, _work=_Buffers())
     for _ in range(n_max):
         m = step_measure(m, sd)
         if m.n in want:
-            out[m.n] = m
+            # the next step overwrites the buffers; the last box is kept
+            cells = m.cells if m.n == n_max else _owned(m.cells)
+            out[m.n] = replace(m, cells=cells, _work=None)
     return out
 
 
@@ -424,9 +454,9 @@ def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
         raise InputError(f"start {x} is not inside the survival region")
     atoms = tuple((dx, dy, 1) for dx, dy, _ in sd.atoms)
     stride = _stride(atoms)
-    counts = np.ones((1, 1), dtype=object)
+    counts, work = np.ones((1, 1), dtype=object), _Buffers(object)
     for _ in range(n):
-        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride)
+        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride, 0, work)
         if not counts.size:
             break
     return counts, lo, stride

@@ -24,6 +24,7 @@ from quadwalk.dp import (
 from quadwalk.errors import InputError
 from quadwalk.harmonic import make_tail_bound, w_rect
 from quadwalk.ladders import BoundaryConvention
+from quadwalk.steps import compute_moments
 
 from oracles import count_states, enumerate_paths
 
@@ -285,6 +286,90 @@ def test_emptied_box_stays_on_its_coset():
     assert [n for n, _ in barred.history] == [0, 1, 2, 4, 7]
     assert [w for _, w in barred.history] == pytest.approx(
         [w for _, w in exact.history], rel=1e-14)
+
+
+# -- run buffers: a run_dp chain against fresh steps, bit for bit ----------------
+
+# lattices that are not a product of their axes' strides, so most stored
+# cells are exact zeros: index3.json and a lazy walk on {x1 + x2 even}
+NON_PRODUCT_LAWS = [
+    validate_steps([((-1, -2), 1), ((2, 1), 2), ((0, 0), 1)]),
+    validate_steps([((1, 1), 1), ((1, -1), 1), ((0, 0), 1), ((2, 0), 1)]),
+]
+
+
+@st.composite
+def integer_weight_laws(draw):
+    k = draw(st.integers(min_value=3, max_value=5))
+    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=k, max_size=k, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    return validate_steps(list(zip(steps, weights)))
+
+
+def _fingerprint(m, mu):
+    """Everything a snapshot reports, as bytes and float hex strings.
+
+    Layout is part of it: numpy sums a strided box in another order than a
+    contiguous one, so the two can differ in the last bit.
+    """
+    c = m.cells
+    fp = [c.tobytes(), c.shape, c.flags.c_contiguous, m.lo1, m.lo2,
+          m.leaked.tobytes(), m.leak_lo]
+    fp += [float(v).hex() for v in (m.killed_mass, m.dropped_mass,
+                                    m.leaked_total, m.survival(),
+                                    m.error_bound(), m.line_sum(1),
+                                    m.line_sum(m.lo2))]
+    if m.barrier is None or m.leaked_total == 0:
+        fp += [m.window_mass(u, mu).hex() for u in ((-1.0, -1.0), (-0.5, 0.0))]
+    return fp
+
+
+@given(st.one_of(integer_weight_laws(), st.sampled_from(NON_PRODUCT_LAWS)),
+       st.sampled_from(list(Region)), st.sampled_from(list(BoundaryConvention)),
+       st.sampled_from([None, "auto", 0, 2]), st.integers(1, 60), st.data())
+@settings(max_examples=40, deadline=None)
+def test_run_buffers_match_fresh_steps(sd, region, conv, barrier, n, data):
+    spec = ExitSpec(region=region, conv=conv)
+    mu1 = compute_moments(sd).mu1
+    if barrier is not None and (not spec.kills_x1 or mu1 == 0):
+        barrier = None
+    if barrier is not None and mu1 < 0:
+        # mirrored, the law drifts right and has a Chernoff rate
+        sd = validate_steps([((-dx, dy), p) for dx, dy, p in sd.atoms])
+    if isinstance(barrier, int):
+        barrier += sd.max_abs_dx
+    x = data.draw(starts(spec.threshold))
+    snaps = {0, 1, n} | set(data.draw(st.lists(st.integers(0, n), max_size=3)))
+    ms = run_dp(sd, x, spec, n, snapshots=snaps, barrier=barrier)
+    assert set(ms) == snaps
+    mu = compute_moments(sd).mu
+    # a chain from the point mass steps with fresh arrays, no run buffers
+    m = QuadrantMeasure.point_mass(x, spec, barrier=ms[0].barrier,
+                                   gamma=ms[0].gamma)
+    for k in range(n + 1):
+        if k:
+            m = step_measure(m, sd)
+        if k in snaps:
+            assert _fingerprint(ms[k], mu) == _fingerprint(m, mu), k
+
+
+@pytest.mark.parametrize("sd", [
+    validate_steps([((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)]),
+    NON_PRODUCT_LAWS[0]], ids=["tilted", "index3"])
+def test_snapshots_own_their_boxes(sd):
+    spec, mu = ExitSpec(), compute_moments(sd).mu
+    ms = run_dp(sd, (1, 1), spec, 40, snapshots={5, 6, 7, 40}, barrier=None)
+    for n in (5, 6, 7, 40):
+        alone = run_dp(sd, (1, 1), spec, n, barrier=None)[n]
+        assert _fingerprint(ms[n], mu) == _fingerprint(alone, mu)
+    m = ms[40]
+    before = _fingerprint(m, mu)
+    a, b = step_measure(m, sd), step_measure(m, sd)
+    assert _fingerprint(m, mu) == before
+    assert _fingerprint(a, mu) == _fingerprint(b, mu)
+    assert not np.shares_memory(a.cells, b.cells)
+    assert not np.shares_memory(a.cells, m.cells)
 
 
 # -- the certified prune -------------------------------------------------------------

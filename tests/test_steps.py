@@ -25,7 +25,7 @@ from quadwalk.errors import (
     NegativeWeightError,
     ZeroTotalWeightError,
 )
-from quadwalk.steps import _kill_step, _trim
+from quadwalk.steps import _Buffers, _kill_step, _trim
 
 from oracles import convolve_atoms, lattice_index, trim_slabs
 
@@ -418,17 +418,30 @@ def kernel_cases(draw):
     return a, lo, atoms, kill, stride
 
 
-@given(kernel_cases())
+# one set of buffers per dtype, shared by every example as a run shares its
+# own: each step must overwrite what an earlier, other-shaped one left there
+_RUN_BUFFERS = {False: _Buffers(float), True: _Buffers(object)}
+
+
+@given(kernel_cases(), st.booleans(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_kill_step_matches_atom_by_atom_reference(case):
+def test_kill_step_matches_atom_by_atom_reference(case, strided, reuse):
     a, lo, atoms, kill, stride = case
-    alive, alive_lo, cuts, dropped = _kill_step(a, lo, atoms, kill, stride)
+    if strided:  # a box cut on x2 and not peeled is a strided view
+        wide = np.zeros((a.shape[0], a.shape[1] + 2), a.dtype)
+        wide[:, 2:] = a
+        a = wide[:, 2:]
+    work = _RUN_BUFFERS[a.dtype == object] if reuse else None
+    alive, alive_lo, cuts, dropped = _kill_step(a, lo, atoms, kill, stride, 0, work)
     ref, smin = convolve_atoms(a, atoms, stride)
     first = [c + s for c, s in zip(lo, smin)]
     # cells killed on each axis: those below its kill line
     k = [0 if kl is None else sum(f + d * i < kl for i in range(n))
          for f, kl, d, n in zip(first, kill, stride, ref.shape)]
     assert _same(cuts[1], ref[:, :k[1]]) and _same(cuts[0], ref[:k[0], k[1]:])
+    # laid out as in a fresh box, so their sums round as they would there
+    assert cuts[1].strides == ref[:, :k[1]].strides
+    assert cuts[0].strides == ref[:k[0], k[1]:].strides
     assert dropped == 0
     rest = ref[k[0]:, k[1]:]
     if not alive.size:
