@@ -396,7 +396,7 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     out: dict[int, QuadrantMeasure] = {}
     if 0 in want:
         out[0] = m
-    m = replace(m, _work=_Buffers())
+    m = replace(m, _work=_Buffers(mapped=True))
     for _ in range(n_max):
         m = step_measure(m, sd)
         if m.n in want:

@@ -422,17 +422,21 @@ class _Buffers:
     is more, so a run that keeps its buffers reallocates a slot a few dozen
     times in all, and a fresh one allocates exact sizes.
 
-    A float slot is an anonymous memory map: its pages become resident
-    only when a step first writes them, and a slot that grows returns its
-    old pages at once.  Slots taken from glibc malloc left a hole in its
-    heap at each growth: three exact runs to n = 1024 on the tilted law in
-    one process peaked 1.2-1.4 MB higher in resident memory than with maps.
+    Buffers a run keeps are built with ``mapped=True``: each float slot is
+    then an anonymous memory map, whose pages become resident only when a
+    step first writes them, and a slot that grows returns its old pages at
+    once.  Slots taken from glibc malloc left a hole in its heap at each
+    growth: three exact runs to n = 1024 on the tilted law in one process
+    peaked 1.2-1.4 MB higher in resident memory than with maps.  Buffers
+    for one step take plain ``np.empty`` slots: a map per slot per step
+    made a chain of 1024 such steps 2.5 times slower, from page faults.
     """
 
-    __slots__ = ("dtype", "slots")
+    __slots__ = ("dtype", "mapped", "slots")
 
-    def __init__(self, dtype=float):
+    def __init__(self, dtype=float, mapped=False):
         self.dtype = np.dtype(dtype)
+        self.mapped = mapped and self.dtype != object  # references cannot live in a raw map
         self.slots = [np.empty(0, self.dtype)] * 3
 
     def take(self, k: int, size: int) -> np.ndarray:
@@ -442,8 +446,8 @@ class _Buffers:
         return buf[:size]
 
     def _new(self, n: int) -> np.ndarray:
-        if self.dtype == object:  # object references cannot live in a raw map
-            return np.empty(n, object)
+        if not self.mapped:
+            return np.empty(n, self.dtype)
         import mmap
         return np.frombuffer(mmap.mmap(-1, n * self.dtype.itemsize), self.dtype)
 
@@ -457,9 +461,9 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None
     peels exact-zero edges only.  A tie peels the first of them in that
     order, so a 1-D tie peels the low end.  Returns (array, lo, dropped),
     ``dropped`` the sum of the peeled slabs in peel order.  An array peeled
-    to nothing comes back with no cells, shape (0,) * ndim.  A peeled 2-D
-    box comes back contiguous, copied into the scratch slot of ``work``
-    when given.
+    to nothing comes back with no cells, shape (0,) * ndim.  A 2-D ``a``
+    needs ``work``: a peeled box that is not contiguous is copied into its
+    scratch slot, so it comes back contiguous.
     """
     if a.ndim == 1:
         # each slab is one cell: walk inward from the two ends
@@ -500,11 +504,11 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None
         return a, lo, dropped
     lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, span))
     kept = a[tuple(box)]
-    if work is not None and not kept.flags.c_contiguous:
-        out = work.take(2, kept.size).reshape(kept.shape)
-        out[...] = kept
-        return out, lo, dropped
-    return np.ascontiguousarray(kept), lo, dropped
+    if kept.flags.c_contiguous:
+        return kept, lo, dropped
+    out = work.take(2, kept.size).reshape(kept.shape)
+    out[...] = kept
+    return out, lo, dropped
 
 
 @lru_cache(maxsize=64)

@@ -420,7 +420,7 @@ def kernel_cases(draw):
 
 # one set of buffers per dtype, shared by every example as a run shares its
 # own: each step must overwrite what an earlier, other-shaped one left there
-_RUN_BUFFERS = {False: _Buffers(float), True: _Buffers(object)}
+_RUN_BUFFERS = {False: _Buffers(float, mapped=True), True: _Buffers(object)}
 
 
 @given(kernel_cases(), st.booleans(), st.booleans())
