@@ -63,24 +63,30 @@ class TailBound:
     max_dy: int
     gamma: float
 
-    def tail(self, x, n: int) -> float:
-        """Bound on sum_{k>n} E[V(x2+S2(k)); tau>k, sigma=k]."""
-        if self.phi_min >= 1.0:
-            return math.inf
-        if self.phi_min == 0.0:
-            return 0.0
-        r = self.phi_min
-        a = self.v_slope * (x[1] + 0.0)
-        b = self.v_slope * self.max_dy
-        g = r ** (n + 1) / (1 - r)
-        return math.exp(-self.s_star * x[0]) * (
-            (a + b * (n + 1)) * g + b * r * g / (1 - r)
-        )
+    def width(self, y1, y2, n: int, upper, barrier: int):
+        """Bracket width of W after n steps at the starts y1 x y2.
 
-    def leak(self, x, n: int, barrier: int) -> float:
-        """Barrier bias after n steps: leaked mass (at most 1) never killed again."""
-        return (math.exp(-self.gamma * (barrier + 1)) * self.v_slope
-                * (x[1] + n * self.max_dy))
+        The tail bound on sum_{k>n} E[V(x2+S2(k)); tau>k, sigma=k], plus the
+        barrier bias (leaked mass, at most 1, never killed again), plus a
+        rounding term.  ``y1`` is a sequence of columns and ``y2`` an integer
+        array of heights; the result broadcasts to (len(y1), len(y2)) with
+        ``upper``, and each entry has the bits of the same formula on floats.
+        """
+        if self.phi_min >= 1.0:
+            tail = math.inf
+        elif self.phi_min == 0.0:
+            tail = 0.0
+        else:
+            r = self.phi_min
+            a = self.v_slope * (y2 + 0.0)
+            b = self.v_slope * self.max_dy
+            g = r ** (n + 1) / (1 - r)
+            decay = np.array([[math.exp(-self.s_star * c)] for c in y1])
+            tail = decay * ((a + b * (n + 1)) * g + b * r * g / (1 - r))
+        leak = (math.exp(-self.gamma * (barrier + 1)) * self.v_slope
+                * (y2 + n * self.max_dy))
+        return (tail + leak
+                + 1e-13 * np.where(upper > 1.0, upper, 1.0) * math.sqrt(max(n, 1)))
 
 
 def make_tail_bound(sd: StepDistribution, v_slope: float) -> TailBound:
@@ -107,23 +113,30 @@ def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
 
 
 def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
-           tail_bound: TailBound, tol: float, n_max: int,
-           barrier: int) -> dict[tuple[int, int], HarmonicEstimate]:
-    """Bracketed W(y) = lim_n E[v(y2 + S2(n)); T_y > n] on x's rectangle.
+           tail_bound: TailBound, tol: float, n_max: int, barrier: int,
+           block: tuple[int, int] | None = None
+           ) -> dict[tuple[int, int], HarmonicEstimate]:
+    """Bracketed W(y) = lim_n E[v(y2 + S2(n)); T_y > n] on a block of starts.
 
-    The rectangle [x1, L - max|dx|] x [t, x2], L = ``barrier`` and t the
-    quadrant threshold, holds the starts whose ``auto_barrier`` equals x's
-    and whose a-priori bracket is no wider.  The backward iterate
-    f_{k+1}(y) = sum_s p f_k(y + s), f_0 = v, runs on the strip
-    [t, L] x [t, x2 + N max(dy)], which loses its top max(dy) rows per step;
-    f is 0 at killed points, and past column L it is the vertical-only
-    iterate of v, as the forward run's leaked measure is.  Each start is read
-    at n = 1, 2, 4, ... and n_max, and takes the first n whose bracket is
-    within ``tol`` (``warned=True`` if none).  The horizon N is the first
-    such n for x's a-priori width, whose upper value v(x2 + max|dy|) bounds
-    f_n for V and for the identity weight of a driftless vertical walk
-    (optional stopping).  A value depends only on its own start, so every
-    rectangle that holds a start gives it the same estimate.
+    ``block`` = (first column, top row) spans the starts
+    [first, L - max|dx|] x [t, top], L = ``barrier`` and t the quadrant
+    threshold; by default it is x's own rectangle, [x1, L - max|dx|] x
+    [t, x2].  The backward iterate f_{k+1}(y) = sum_s p f_k(y + s), f_0 = v,
+    runs on the strip [t, L] x [t, top + N max(dy)], which loses its top
+    max(dy) rows per step; f is 0 at killed points, and past column L it is
+    the vertical-only iterate of v, as the forward run's leaked measure is.
+    Each start y is read at n = 1, 2, 4, ... up to its own a-priori horizon
+    N_y, the first such n (or n_max) whose width for the upper value
+    v(y2 + max|dy|) is within ``tol``; that value bounds f_n for V and for
+    the identity weight of a driftless vertical walk (optional stopping).
+    It takes the first n whose bracket is within ``tol``, and N_y, with
+    ``warned=True``, if none is.  The pass runs to x's horizon N, or stops
+    at the first checkpoint where x's upper value reads 0 (with tol >= 0 its
+    estimate is then final).  The iterate at a cell does not depend on the
+    strip's extent, so the result holds each start of the block whose
+    reading ends by the last checkpoint run, exactly as a pass for that
+    start alone gives it.  That covers each start whose N_y is at most that
+    checkpoint, and so all of x's rectangle when the pass runs to N.
     """
     x1, x2 = int(x[0]), int(x[1])
     t, max_dx = spec.threshold, sd.max_abs_dx
@@ -131,27 +144,35 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
         raise InputError(f"start {x} is not inside the quadrant")
     if barrier < x1 + max_dx:
         raise BarrierError(f"barrier {barrier} below x1 + max |dx| = {x1 + max_dx}")
+    first, top = (x1, x2) if block is None else block
+    if not (t <= first <= x1 and top >= x2):
+        raise InputError(f"block {block} does not hold the start {x}")
+    y1 = range(first, barrier - max_dx + 1)
+    y2 = np.arange(t, top + 1)
+    at_x = (x1 - first, x2 - t)
 
-    def width(y, n, upper):
-        return (tail_bound.tail(y, n) + tail_bound.leak(y, n, barrier)
-                + 1e-13 * max(1.0, upper) * math.sqrt(max(n, 1)))
-
-    checkpoints = [1 << k for k in range(n_max.bit_length())]
-    if checkpoints[-1] != n_max:
-        checkpoints.append(n_max)
-    v_top = float(v[x2 + tail_bound.max_dy])
-    N = next((n for n in checkpoints if width((x1, x2), n, v_top) <= tol), n_max)
+    # each start's horizon, as the index of its checkpoint in ns_all
+    ns_all = [0] + [1 << k for k in range(n_max.bit_length())]
+    if ns_all[-1] != n_max:
+        ns_all.append(n_max)
+    v = np.asarray(v, dtype=float)
+    v_top = v[y2 + tail_bound.max_dy]
+    horizon = np.full((len(y1), len(y2)), len(ns_all) - 1)
+    for c in range(len(ns_all) - 1, 0, -1):
+        within = tail_bound.width(y1, y2, ns_all[c], v_top, barrier) <= tol
+        horizon = np.where(within, c, horizon)
+    N = ns_all[horizon[at_x]]
 
     dxs, dys = [a[0] for a in sd.atoms], [a[1] for a in sd.atoms]
     left, right = max(-min(dxs), 0), max(max(dxs), 0)
     down, up = max(-min(dys), 0), max(max(dys), 0)
-    if x2 + N * up >= len(v):
-        raise InputError(f"V table too short: need {x2 + N * up + 1}, have {len(v)}")
+    if top + N * up >= len(v):
+        raise InputError(f"V table too short: need {top + N * up + 1}, have {len(v)}")
     ncol = barrier - t + 1
-    h = np.asarray(v[t:x2 + N * up + 1], dtype=float)
+    h = v[t:top + N * up + 1]
     f = np.tile(h, (ncol, 1))
-    rect = (slice(x1 - t, barrier - max_dx - t + 1), slice(0, x2 - t + 1))
-    snaps = [f[rect]]
+    cells = (slice(first - t, barrier - max_dx - t + 1), slice(0, top - t + 1))
+    snaps = [f[cells].copy()]
     for k in range(1, N + 1):
         hp = np.concatenate((np.zeros(down), h))
         g = np.zeros((left + ncol + right, len(hp)))
@@ -159,22 +180,35 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
         g[left:left + ncol, down:] = f
         f = _pull(g, sd.atoms, (left, down), (ncol, len(h) - up))
         h = _pull(hp, sd.vertical_atoms, (down,), (len(h) - up,))
-        if k in checkpoints:
-            snaps.append(f[rect])
-    ns = [0] + [n for n in checkpoints if n <= N]
+        if k in ns_all:
+            snaps.append(f[cells].copy())
+            if tol >= 0 and snaps[-1][at_x] == 0.0:
+                break
+    ns = ns_all[:len(snaps)]
+
+    # each start's reading: the first checkpoint within tol, or its horizon
+    uppers = np.stack(snaps)
+    read = np.zeros(horizon.shape, dtype=int)
+    width = lower = uppers[0]
+    for c in range(1, len(ns)):
+        w = tail_bound.width(y1, y2, ns[c], uppers[c], barrier)
+        low = np.where(0.0 > uppers[c] - w, 0.0, uppers[c] - w)
+        now = (read == 0) & ((uppers[c] - low <= tol) | (horizon == c))
+        read = np.where(now, c, read)
+        width, lower = np.where(now, w, width), np.where(now, low, lower)
+    upper = np.take_along_axis(uppers, read[None], 0)[0]
+    value = upper - 0.5 * np.where(upper < width, upper, width)
+    warned = upper - lower > tol
 
     out = {}
-    for y1, col in zip(range(x1, barrier - max_dx + 1), np.stack(snaps, -1).tolist()):
-        for y2, uppers in zip(range(t, x2 + 1), col):
-            for c in range(1, len(ns)):
-                w = width((y1, y2), ns[c], uppers[c])
-                lower = max(uppers[c] - w, 0.0)
-                if uppers[c] - lower <= tol:
-                    break
-            out[y1, y2] = HarmonicEstimate(
-                value=uppers[c] - 0.5 * min(w, uppers[c]), upper=uppers[c],
-                lower=lower, n_used=ns[c], warned=uppers[c] - lower > tol,
-                history=tuple(zip(ns[:c + 1], uppers[:c + 1])))
+    rows = zip(read.tolist(), value.tolist(), upper.tolist(), lower.tolist(),
+               warned.tolist(), np.moveaxis(uppers, 0, -1).tolist())
+    for y1_, col in zip(y1, rows):
+        for y2_, (c, val, hi, lo, warn, hist) in zip(range(t, top + 1), zip(*col)):
+            if c:
+                out[y1_, y2_] = HarmonicEstimate(
+                    value=val, upper=hi, lower=lo, n_used=ns[c], warned=warn,
+                    history=tuple(zip(ns[:c + 1], hist[:c + 1])))
     return out
 
 

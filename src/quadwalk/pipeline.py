@@ -144,16 +144,25 @@ class ConditionedWalkPipeline:
     def w(self, x, tol: float = 1e-10) -> HarmonicEstimate:
         """Estimate at x, cached by (point, tol).
 
-        A miss fills in x's whole ``w_rect`` rectangle; each estimate there
-        equals the one a query at its own point would compute.
+        A miss runs one ``w_rect`` pass over x's barrier block: the starts
+        whose ``auto_barrier`` is x's L, which are the columns
+        [t, L - max|dx|] when L is the law's own barrier and x1 alone when x1
+        sets it, at heights t .. 2 x2 (the doubling of ``_grown``).  The
+        horizon still comes from x, and a start of the block is cached when
+        the pass reaches the end of its own reading, which holds at least
+        for each start whose own a-priori horizon is at most x's.  Each
+        estimate cached equals the one a query at its own point would
+        compute, ``history`` included.
         """
         x = (int(x[0]), int(x[1]))
         if (x, tol) not in self._w_cache:
             L = auto_barrier(self.sd, x, BARRIER_TARGET)
-            v = self.v_eff_vector(x[1] + (N_MAX + 1) * self.sd.max_abs_dy)
-            rect = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
-                          N_MAX, L)
-            self._w_cache.update(((y, tol), est) for y, est in rect.items())
+            t = self.spec.threshold
+            first = t if auto_barrier(self.sd, (t, x[1]), BARRIER_TARGET) == L else x[0]
+            v = self.v_eff_vector(2 * x[1] + (N_MAX + 1) * self.sd.max_abs_dy)
+            block = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
+                           N_MAX, L, (first, 2 * x[1]))
+            self._w_cache.update(((y, tol), est) for y, est in block.items())
         return self._w_cache[x, tol]
 
     def w_value(self, x) -> float:

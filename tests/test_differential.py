@@ -1,14 +1,15 @@
 """The propagation kernel against brute-force oracles on random small laws."""
 
 import math
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadwalk import dp, singular_steps, validate_steps
+from quadwalk import dp, pipeline, singular_steps, validate_steps
 from quadwalk.dp import (
     ExitSpec,
     QuadrantMeasure,
@@ -21,10 +22,11 @@ from quadwalk.dp import (
     step_measure,
     survival_prob,
 )
-from quadwalk.errors import InputError
+from quadwalk.errors import InputError, QuadwalkError
 from quadwalk.harmonic import make_tail_bound, w_rect
 from quadwalk.ladders import BoundaryConvention
-from quadwalk.steps import compute_moments
+from quadwalk.pipeline import ConditionedWalkPipeline
+from quadwalk.steps import compute_moments, solve_drift, tilt
 
 from oracles import count_states, enumerate_paths
 
@@ -154,12 +156,18 @@ def periodic_laws(draw, dx_cells=(-2, 1)):
 
 @given(periodic_laws(), st.sampled_from(list(Region)),
        st.sampled_from(list(BoundaryConvention)), st.integers(0, 6),
-       st.data())
+       st.tuples(st.integers(0, 2), st.integers(0, 2)))
+# a naive sum of this law's 5^6 paths from (1, 1) is 1.3e-13 off the exact
+# half-plane survival, which the DP meets
+@example(validate_steps([((-1, 1), 0.40728243), ((1, -1), 0.02396221),
+                         ((1, 1), 0.26514252), ((1, 3), 0.03848752),
+                         ((3, 1), 0.26514252)]),
+         Region.QUADRANT, BoundaryConvention.KILL_ON_NONPOSITIVE, 6, (0, 0))
 @settings(max_examples=60, deadline=None)
-def test_periodic_laws_match_enumeration(sd, region, conv, n, data):
+def test_periodic_laws_match_enumeration(sd, region, conv, n, offset):
     spec = ExitSpec(region=region, conv=conv)
     t = spec.threshold
-    x = data.draw(starts(t))
+    x = (t + offset[0], t + offset[1])
     kill_x1, kill_x2 = KILLS[region]
     surv, probs, counts = enumerate_paths(sd.atoms, x, n, kill_x1=kill_x1,
                                           kill_x2=kill_x2, threshold=t)
@@ -465,3 +473,26 @@ def test_w_rect_exact_barrier_matches_enumeration(sd, conv, n, extra, data):
     L = x[0] + sd.max_abs_dx + extra
     v = data.draw(weights(x[1] + (n + 1) * sd.max_abs_dy + 1))
     _check_w_rect(sd, spec, x, n, L, v, oracle_barrier=None)
+
+
+@given(small_laws(), st.sampled_from(list(BoundaryConvention)),
+       st.sampled_from((3.0, 0.3, 1e-10)),
+       st.permutations([(y1, y2) for y1 in range(1, 7) for y2 in range(1, 7)]))
+@settings(max_examples=10, deadline=None)
+def test_w_in_any_query_order_equals_first_queries(law, conv, tol, order):
+    # a looser barrier target keeps L, and so each pass, small; both sides
+    # use it, and the tolerances spread the starts' own horizons
+    try:
+        sd, _ = tilt(law, solve_drift(law, (0.3, 0.0)).h)
+        built = ConditionedWalkPipeline.build(sd, conv)
+    except QuadwalkError:
+        assume(False)
+    used = replace(built, _w_cache={})
+    t = built.spec.threshold
+    with patch.object(pipeline, "N_MAX", 32), \
+            patch.object(pipeline, "BARRIER_TARGET", 1e-6):
+        for y in order:
+            x = (y[0] - 1 + t, y[1] - 1 + t)
+            # a pipeline that has answered no W query yet
+            fresh = replace(built, _w_cache={}).w(x, tol)
+            assert repr(used.w(x, tol)) == repr(fresh)

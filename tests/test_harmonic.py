@@ -1,14 +1,20 @@
 """Harmonic function W: brackets, monotonicity, harmonicity, cross-representation."""
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from quadwalk import ladders, pipeline, validate_steps
+from quadwalk import ladders, load_steps, pipeline, validate_steps
 from quadwalk.dp import ExitSpec, auto_barrier, run_dp
 from quadwalk.harmonic import make_tail_bound, w_check_harmonic, w_rect
 from quadwalk.pipeline import ConditionedWalkPipeline
+from quadwalk.steps import solve_drift, tilt
 
 from oracles import doob_survival
+
+TILTED = Path(__file__).parents[1] / "steps" / "tilted-singular.json"
 
 
 def pipe_steps():
@@ -85,6 +91,40 @@ class TestSeries:
         assert again == fresh
         used.w((4, 2))  # in the rectangle of (3, 3): no further pass
         assert calls == [(3, 3), (3, 3), (3, 3)]
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_grid_read_upward_takes_few_passes(self, monkeypatch, seed):
+        # one pass fills x's barrier block up to height 2 x2, so a column
+        # read from the bottom up misses at heights 1, 3 and 7, and the
+        # other columns come filled
+        calls = []
+        real = pipeline.w_rect
+        monkeypatch.setattr(pipeline, "w_rect",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        p = ConditionedWalkPipeline.build(load_steps(TILTED))
+        cols = list(range(8, 0, -1))
+        if seed is not None:
+            random.Random(seed).shuffle(cols)
+        for x1 in cols:
+            for x2 in range(1, 9):
+                p.w((x1, x2))
+        assert len(calls) <= 8
+
+    def test_pass_stops_where_every_first_step_kills(self, monkeypatch):
+        # every first step from (1, 1) leaves the quadrant, so W(1, 1) = 0
+        # is read at n = 1 and the pass ends there; the starts it had not
+        # finished are left to their own queries
+        law = validate_steps([((0, -2), 1.0), ((-1, 2), 1.0), ((-1, -2), 1.0),
+                              ((-2, 0), 1.0), ((2, -1), 1.0)])
+        sd, _ = tilt(law, solve_drift(law, (0.3, 0.0)).h)
+        used = ConditionedWalkPipeline.build(sd)
+        est = used.w((1, 1))
+        assert (est.value, est.upper, est.lower, est.n_used) == (0.0, 0.0, 0.0, 1)
+        assert all(e.n_used <= 1 for e in used._w_cache.values())
+        monkeypatch.setattr(pipeline, "N_MAX", 64)
+        for y in [(y1, y2) for y1 in range(1, 5) for y2 in range(1, 5)]:
+            fresh = ConditionedWalkPipeline.build(sd).w(y)
+            assert repr(used.w(y)) == repr(fresh)
 
     @pytest.mark.parametrize("steps", [pipe_steps, down_jump_steps])
     def test_filled_estimate_equals_first_query(self, steps):
