@@ -186,7 +186,8 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
                 break
     ns = ns_all[:len(snaps)]
 
-    # each start's reading: the first checkpoint within tol, or its horizon
+    # each start's reading: the first checkpoint within tol, or its horizon;
+    # np.where picks as the scalar max/min did, signed zeros and NaN alike
     uppers = np.stack(snaps)
     read = np.zeros(horizon.shape, dtype=int)
     width = lower = uppers[0]
@@ -203,10 +204,10 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
     out = {}
     rows = zip(read.tolist(), value.tolist(), upper.tolist(), lower.tolist(),
                warned.tolist(), np.moveaxis(uppers, 0, -1).tolist())
-    for y1_, col in zip(y1, rows):
-        for y2_, (c, val, hi, lo, warn, hist) in zip(range(t, top + 1), zip(*col)):
+    for a, col in zip(y1, rows):
+        for b, (c, val, hi, lo, warn, hist) in zip(range(t, top + 1), zip(*col)):
             if c:
-                out[y1_, y2_] = HarmonicEstimate(
+                out[a, b] = HarmonicEstimate(
                     value=val, upper=hi, lower=lo, n_used=ns[c], warned=warn,
                     history=tuple(zip(ns[:c + 1], hist[:c + 1])))
     return out
