@@ -158,7 +158,8 @@ class ConditionedWalkPipeline:
         if (x, tol) not in self._w_cache:
             L = auto_barrier(self.sd, x, BARRIER_TARGET)
             t = self.spec.threshold
-            first = t if auto_barrier(self.sd, (t, x[1]), BARRIER_TARGET) == L else x[0]
+            own = auto_barrier(self.sd, (t, x[1]), BARRIER_TARGET) == L
+            first = t if own else x[0]
             v = self.v_eff_vector(2 * x[1] + (N_MAX + 1) * self.sd.max_abs_dy)
             block = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
                            N_MAX, L, (first, 2 * x[1]))
