@@ -26,6 +26,7 @@ Both normalizations are validated numerically by the harness.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from dataclasses import dataclass
@@ -61,8 +62,17 @@ __all__ = [
 
 QUAD_EPSABS = 1e-10
 TRUNC_SD = 8.0
-# Gauss-Legendre nodes and weights on [-1, 1] for the window's y2 integral
-_GL = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(24))))
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of 24-node Gauss-Legendre on [-1, 1].
+
+    Built on first use: ``numpy.polynomial`` and ``leggauss`` cost every
+    process that imports the package a few milliseconds, and only the
+    window integral reads them.
+    """
+    return tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(24))))
 
 
 class _LazyIntegrate:
@@ -217,7 +227,7 @@ def integral_p_window(u, gp: GaussParams) -> float:
     s2sq = gp.sigma2sq
     sd1 = math.sqrt(gp.D / s2sq)
     total = 0.0
-    for t, w in _GL:
+    for t, w in _gauss_legendre():
         y2 = mid + half * t
         m1 = gp.rho * y2 / s2sq
         total += w * (y2 / s2sq * math.exp(-y2 * y2 / (2.0 * s2sq))

@@ -101,7 +101,7 @@ def _load(args):
         raise InputError("no step-set file given (use --steps PATH)")
     try:
         return load_steps(args.steps)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read step set {args.steps!r}: {exc}") from exc
 
 

@@ -5,7 +5,7 @@ bounding box on the reachable lattice coset: after n steps coordinate i
 lies in x_i + a_i n + d_i Z, so with strides (d1, d2) from the step law
 cell (i, j) stands for (lo1 + d1 i, lo2 + d2 j) and the d1*d2 - 1 other
 residue classes, exact zeros, are never stored.  It is advanced one step
-at a time by the package's single propagation kernel, ``steps._kill_step``;
+at a time by the package's 2-D propagation kernel, ``steps._kill_step``;
 mass landing outside the survival region is removed and accounted.
 
 The kernel lays the box out in rows of the grown box's width, so each atom
@@ -29,17 +29,22 @@ that mass bounds the error of every event probability, and
 For quadrant runs with positive horizontal drift a truncation barrier L
 may be enabled: mass crossing x1 > L migrates to a one-dimensional
 vertical measure that keeps the vertical kill but drops the horizontal
-one.  The leaked measure lies on the same vertical coset, and its ends are
-peeled from what the 2-D box left of the step's budget.  No mass re-enters
-the box, so once every cell has crossed or been killed the box is empty,
-shape (0, 0), and only the leaked line is stepped.  The barrier error
+one.  The leaked measure lies on the same vertical coset, and it steps by
+``steps._line_steps``, its ends peeled from what the 2-D box left of the
+step's budget.  No mass re-enters the box, so once every cell has crossed
+or been killed the box is empty, shape (0, 0), and only the line moves.
+``run_dp`` then steps the line as one chain up to the next snapshot, each
+step with the whole budget as ``step_measure`` would give it, and builds a
+measure only at the snapshots; once the line is empty too it goes straight
+to the next snapshot.  On the tilted law from (1, 1) the box is empty
+from n = 540 on, so this is most of a long tail run.  The barrier error
 is bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1))
 on the walk ever returning, gamma the positive root of
 E[exp(-gamma X1)] = 1; ``error_bound()`` adds it to the dropped mass.
 
-The half-plane survival runs the same kernel on the vertical marginal, and
-exact path counts run it on an object array of Python integers (no
-barrier), each on the same coset storage.  Both report no bound, so they
+The half-plane survival runs the line kernel on the vertical marginal, and
+exact path counts run the 2-D kernel on an object array of Python integers
+(no barrier), each on the same coset storage.  Both report no bound, so they
 peel exact-zero edges only and drop nothing, and both stop at the first
 step that leaves nothing alive.  Every run kills by its
 ``ExitSpec``, the one owner of the kill rule: ``ExitSpec.kill`` names the
@@ -58,8 +63,8 @@ import numpy as np
 
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
-from .steps import (StepDistribution, _Buffers, _kill_step, _stride, _trim,
-                    compute_moments)
+from .steps import (StepDistribution, _Buffers, _kill_step, _line_steps,
+                    _stride, _trim, compute_moments)
 
 # Mass that ``step_measure`` may peel off the edges of a measure per step,
 # shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
@@ -329,12 +334,9 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     leaked, leak_lo = m.leaked, m.leak_lo
     leaked_total = m.leaked_total
     if leaked.size:
-        leaked, (leak_lo,), (cut,), drop = _kill_step(
-            leaked, (leak_lo,), sd.vertical_atoms, kill[1:],
-            (d2,), budget=budget)
-        killed += float(cut.sum())
-        budget -= float(drop)
-        dropped += float(drop)
+        leaked, leak_lo, killed, dropped, budget = _line_steps(
+            leaked, leak_lo, sd.vertical_atoms, kill[1], d2, 1, budget,
+            killed, dropped)
 
     # migrate mass beyond the barrier into the vertical-only measure
     if (m.barrier is not None and new.size
@@ -397,13 +399,33 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     if 0 in want:
         out[0] = m
     m = replace(m, _work=_Buffers(mapped=True))
-    for _ in range(n_max):
-        m = step_measure(m, sd)
-        if m.n in want:
+    for stop in sorted(t for t in want | {n_max} if 0 < t <= n_max):
+        while m.n < stop and m.cells.size:
+            m = step_measure(m, sd)
+        if m.n < stop:
+            m = _line_only(m, sd, stop)
+        if stop in want:
             # the next step overwrites the buffers; the last box is kept
             cells = m.cells if m.n == n_max else _owned(m.cells)
             out[m.n] = replace(m, cells=cells, _work=None)
     return out
+
+
+def _line_only(m: QuadrantMeasure, sd: StepDistribution, n: int) -> QuadrantMeasure:
+    """``m``, whose box is empty, stepped on to time n.
+
+    No mass re-enters an empty box, so only the leaked line moves: one
+    ``_line_steps`` chain with ``step_measure``'s per-step budget, which
+    adds to the killed and dropped mass step by step as ``step_measure``
+    would, and builds no measure per step.
+    """
+    if not m.leaked.size:
+        return replace(m, n=n)
+    leaked, leak_lo, killed, dropped, _ = _line_steps(
+        m.leaked, m.leak_lo, sd.vertical_atoms, m.spec.kill[1], m.stride[1],
+        n - m.n, PRUNE_BUDGET, m.killed_mass, m.dropped_mass)
+    return replace(m, n=n, leaked=leaked, leak_lo=leak_lo,
+                   killed_mass=killed, dropped_mass=dropped)
 
 
 def survival_prob(sd: StepDistribution, x, n: int, spec: ExitSpec,
@@ -427,16 +449,11 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     """P(tau_x > n): exact 1-D dynamic program, no barrier needed."""
     if n < 0:
         raise InputError("n must be >= 0")
-    kill = (conv.threshold,)
-    if x2 < kill[0]:
+    kill = conv.threshold
+    if x2 < kill:
         raise InputError(f"start height {x2} is outside the region")
     atoms = sd.vertical_atoms
-    stride = _stride(atoms)
-    alive, lo = np.ones(1), (x2,)
-    for _ in range(n):
-        alive, lo, _, _ = _kill_step(alive, lo, atoms, kill, stride)
-        if not alive.size:
-            break
+    alive = _line_steps(np.ones(1), x2, atoms, kill, _stride(atoms)[0], n)[0]
     return float(alive.sum())
 
 

@@ -6,35 +6,37 @@ finds the lattice Lambda the increments generate, the one record of integer
 facts about the support, and implements exponential tilting together with a
 Newton solver that finds the tilt achieving a prescribed drift.
 
-It also holds ``_kill_step``, the one propagation kernel of the package:
-a single step of a walk killed on leaving a box, on a 1-D or 2-D measure of
-floats or of exact Python integers.  It advances every exact DP in ``dp``.
+It also holds the package's two propagation kernels: ``_kill_step``, a
+single step of a walk killed on leaving a box, on a 2-D measure of floats
+or of exact Python integers, and ``_line_steps``, a chain of such steps on
+a 1-D float measure.  They advance every exact DP in ``dp``.
 The measure is stored on a coset of the per-axis superlattice of Lambda:
 with stride d (``_stride``, the d_i of ``LatticeStructure``) cell i stands
 for coordinate lo + d*i, since after any number of steps from one start every
 reachable coordinate lies in one class modulo d.  The other d-1 classes,
-exact zeros in a unit-stride box, are never stored.  After each step
-``_trim`` peels the lightest edge rows and columns while their mass fits
-the caller's budget and returns what it peeled; the default budget 0
+exact zeros in a unit-stride box, are never stored.  After each step the
+lightest edge rows and columns are peeled while their mass fits the
+caller's budget, and what was peeled is returned; the default budget 0
 removes exact zeros only.  A measure peeled or killed to nothing has no
 cells, and callers stop stepping it: mass only ever leaves a killed walk.
 
-The kernel runs once per step, tens of thousands of times in a long run,
-so it keeps its per-step Python work small.  ``_step_plan`` derives what a
-law's atoms mean for a measure (least shifts, cell offsets, the
-off-lattice check, the dense 1-D convolution kernel) once per
-(atoms, stride, ndim) and caches it.  On the per-atom path each atom's
-box is one contiguous run of the flat output, and a caller stepping one
-measure many times passes a ``_Buffers`` that keeps the step's arrays, so
-no box is allocated per step (see ``_kill_step``).
-On a 1-D measure every edge slab is one cell, and ``_trim`` walks
-inward from the two ends, lightest end first and the low end on a tie.
+The kernels run tens of thousands of steps in a long run, so they keep
+their per-step Python work small.  ``_step_plan`` derives what a law's
+atoms mean for a measure (least shifts, cell offsets, the off-lattice
+check, the dense 1-D convolution kernel) once per (atoms, stride, ndim)
+and caches it.  In ``_kill_step`` each atom's box is one contiguous run
+of the flat output, and a caller stepping one measure many times passes a
+``_Buffers`` that keeps the step's arrays, so no box is allocated per
+step.  ``_line_steps`` runs its whole chain in one call: a step is one
+``np.convolve``, a kill slice and a walk inward from the two ends, and no
+per-step object is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -181,21 +183,42 @@ class TiltParams:
     phi: float
 
 
+def _increment(v, what: str) -> int:
+    """``v`` as an integer increment; ``what`` names it in the error.
+
+    An int (numpy's too) is taken as it is, and so is a float whose value
+    is an integer, such as the 1.0 a JSON writer may emit for 1.  Anything
+    else, bools included, raises ``InputError``.
+    """
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise InputError(f"{what} {v!r} is not an integer")
+
+
 def validate_steps(raw) -> StepDistribution:
     """Merge duplicate increments, validate weights and normalize.
 
     ``raw`` is an iterable of ((dx, dy), weight) or (dx, dy, weight).
+    Increments are integers (see ``_increment``) and weights finite real
+    numbers, not bools; anything else raises ``InputError`` naming the
+    step by its place in ``raw``.
     """
     items = list(raw)
     if not items:
         raise EmptyStepSetError("step set is empty")
     merged: dict[tuple[int, int], float] = {}
-    for item in items:
+    for i, item in enumerate(items):
         if len(item) == 2:
             (dx, dy), w = item
         else:
             dx, dy, w = item
-        dx, dy, w = int(dx), int(dy), float(w)
+        dx, dy = _increment(dx, f"step {i}: dx"), _increment(dy, f"step {i}: dy")
+        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                or not math.isfinite(w)):
+            raise InputError(f"step {i}: weight {w!r} is not a finite number")
+        w = float(w)
         if w < 0:
             raise NegativeWeightError(f"negative weight {w} for step ({dx},{dy})")
         merged[(dx, dy)] = merged.get((dx, dy), 0.0) + w
@@ -406,10 +429,23 @@ def _nearest_residue(target: float, residue: int, d: int, lo: int) -> int:
 
 
 def load_steps(path) -> StepDistribution:
-    """Read a step-set JSON file: {"steps": [{"dx": int, "dy": int, "w": number}, ...]}."""
+    """Read a step-set JSON file: {"steps": [{"dx": int, "dy": int, "w": number}, ...]}.
+
+    A file of any other shape raises ``InputError`` naming what is wrong:
+    the top level, the ``steps`` value, or the entry that is not an object
+    with those three keys.
+    """
     with open(path) as fh:
         obj = json.load(fh)
-    return validate_steps([(s["dx"], s["dy"], s["w"]) for s in obj["steps"]])
+    steps = obj.get("steps") if isinstance(obj, dict) else None
+    if not isinstance(steps, list):
+        raise InputError('a step file is one object whose "steps" is a list')
+    raw = []
+    for i, s in enumerate(steps):
+        if not (isinstance(s, dict) and {"dx", "dy", "w"} <= s.keys()):
+            raise InputError(f'step {i}: {s!r} is not an object with keys "dx", "dy", "w"')
+        raw.append((s["dx"], s["dy"], s["w"]))
+    return validate_steps(raw)
 
 
 class _Buffers:
@@ -463,26 +499,10 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None
     ``dropped`` the sum of the peeled slabs in peel order.  An array peeled
     to nothing comes back with no cells, shape (0,) * ndim.  A 2-D ``a``
     needs ``work``: a peeled box that is not contiguous is copied into its
-    scratch slot, so it comes back contiguous.
+    scratch slot, so it comes back contiguous.  A stepped line peels its
+    own ends (``_line_steps``); this path peels a line only where mass
+    joins it, at the barrier.
     """
-    if a.ndim == 1:
-        # each slab is one cell: walk inward from the two ends
-        i0, i1, dropped = 0, len(a), 0
-        while i0 < i1:
-            high = a[i1 - 1] < a[i0]
-            mass = a[i1 - 1] if high else a[i0]
-            if dropped + mass > budget:
-                break
-            dropped += mass
-            if high:
-                i1 -= 1
-            else:
-                i0 += 1
-        if i0 == i1:
-            return np.zeros(0, dtype=a.dtype), lo, dropped
-        if i1 - i0 == len(a):
-            return a, lo, dropped
-        return np.ascontiguousarray(a[i0:i1]), (lo[0] + stride[0] * i0,), dropped
     span = [[0, n] for n in a.shape]
     dropped = 0
     while all(s0 < s1 for s0, s1 in span):
@@ -541,26 +561,25 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budg
                work: _Buffers | None = None):
     """One step of a walk killed on leaving a box: convolve, kill, peel edges.
 
-    ``a`` is a nonempty 1-D or 2-D measure with ``a[i]`` at coordinate
-    lo + d*i, with one offset lo and one stride d per axis, of any dtype
-    that adds: float64, or object holding Python ints for exact path counts.
-    ``atoms`` is a tuple of (shift, ..., p) tuples with one shift per axis,
-    all shifts of an axis in one class modulo its stride (see ``_stride``);
-    an atom moves the array by (shift - min shift) / d cells.  ``kill[ax]``
-    is the lowest surviving coordinate on an axis, or None.
+    ``a`` is a nonempty 2-D measure with ``a[i, j]`` at coordinate
+    (lo1 + d1*i, lo2 + d2*j), of any dtype that adds: float64, or object
+    holding Python ints for exact path counts.  ``atoms`` is a tuple of
+    (shift1, shift2, p) tuples, all shifts of an axis in one class modulo
+    its stride (see ``_stride``); an atom moves the array by
+    (shift - min shift) / d cells.  ``kill[ax]`` is the lowest surviving
+    coordinate on an axis, or None.  A line steps by ``_line_steps``.
 
-    Per-atom path (2-D, and object arrays): ``a`` is copied into rows of
-    the output box's width n2 + grow2, zero padded, so that each atom's
-    box of the output is one contiguous run of its flat array, at offset
-    i * width + j.  The first atom's product is written over its run, the
-    head and tail outside it are zeroed, and the other atoms add theirs in
-    atom order: each cell sums the products of a per-box convolution in
-    the same order, plus p * 0 = +0.0 from the padding, which changes no
-    nonnegative value.  The arrays come from ``work``, which a caller
-    stepping one measure many times keeps for the whole run; without it
-    they are fresh.  The output box keeps the shape and row-major layout
-    of a fresh array, so every cut and slab summed below is laid out, and
-    rounds, as it would be in one.
+    ``a`` is copied into rows of the output box's width n2 + grow2, zero
+    padded, so that each atom's box of the output is one contiguous run of
+    its flat array, at offset i * width + j.  The first atom's product is
+    written over its run, the head and tail outside it are zeroed, and the
+    other atoms add theirs in atom order: each cell sums the products of a
+    per-box convolution in the same order, plus p * 0 = +0.0 from the
+    padding, which changes no nonnegative value.  The arrays come from
+    ``work``, which a caller stepping one measure many times keeps for the
+    whole run; without it they are fresh.  The output box keeps the shape
+    and row-major layout of a fresh array, so every cut and slab summed
+    below is laid out, and rounds, as it would be in one.
 
     Returns (alive, lo, cuts, dropped): ``cuts[ax]`` is the slice killed
     below ``kill[ax]``, its last entry at the highest coset point below it
@@ -571,43 +590,37 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budg
     and ``cuts`` may be views of ``work``'s arrays, valid until its next
     step.
     """
-    nd = a.ndim
-    smin, grow, moves, dense = _step_plan(atoms, stride, nd)
-    if nd == 1 and a.dtype != object:
-        # one np.convolve call costs far less than per-atom adds on the
-        # short line measures of leaked mass and half-planes
-        new = np.convolve(a, dense)
-    else:
-        work = _Buffers(a.dtype) if work is None else work
-        rows, n = a.shape if nd == 2 else (1, len(a))
-        width = n + grow[-1]
-        size = (rows - 1) * width + n  # extent of a laid out at that width
-        pad = work.take(0, rows * width).reshape(rows, width)
-        pad[:, :n] = a
-        pad[:, n:] = 0
-        src = pad.reshape(-1)[:size]
-        shape = [k + g for k, g in zip(a.shape, grow)]
-        flat = work.take(1, math.prod(shape))
-        new = flat.reshape(shape)
-        for k, (p, *offs) in enumerate(moves):
-            at = offs[0] * width + offs[1] if nd == 2 else offs[0]
-            run = flat[at:at + size]
-            if k == 0:
-                # every cell outside the first run is 0 and 0 + x == x:
-                # write the run, zero the rest
-                flat[:at] = 0
-                flat[at + size:] = 0
-                if p == 1:
-                    run[...] = src
-                else:
-                    np.multiply(src, p, out=run)
-            elif p == 1:
-                run += src
+    smin, grow, moves, _ = _step_plan(atoms, stride, 2)
+    work = _Buffers(a.dtype) if work is None else work
+    rows, n = a.shape
+    width = n + grow[1]
+    size = (rows - 1) * width + n  # extent of a laid out at that width
+    pad = work.take(0, rows * width).reshape(rows, width)
+    pad[:, :n] = a
+    pad[:, n:] = 0
+    src = pad.reshape(-1)[:size]
+    shape = [k + g for k, g in zip(a.shape, grow)]
+    flat = work.take(1, math.prod(shape))
+    new = flat.reshape(shape)
+    for k, (p, o1, o2) in enumerate(moves):
+        at = o1 * width + o2
+        run = flat[at:at + size]
+        if k == 0:
+            # every cell outside the first run is 0 and 0 + x == x:
+            # write the run, zero the rest
+            flat[:at] = 0
+            flat[at + size:] = 0
+            if p == 1:
+                run[...] = src
             else:
-                run += np.multiply(src, p, out=work.take(2, size))
+                np.multiply(src, p, out=run)
+        elif p == 1:
+            run += src
+        else:
+            run += np.multiply(src, p, out=work.take(2, size))
     lo = [c + s0 for c, s0 in zip(lo, smin)]
-    cuts = [None] * nd
-    for ax in reversed(range(nd)):
+    cuts = [None] * 2
+    for ax in (1, 0):
         # first cell at or above kill[ax]: ceil((kill - lo) / stride)
         k = 0 if kill[ax] is None else max(-((lo[ax] - kill[ax]) // stride[ax]), 0)
         head = (slice(None),) * ax
@@ -616,3 +629,54 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budg
         lo[ax] += k * stride[ax]
     new, lo, dropped = _trim(new, tuple(lo), budget, stride, work)
     return new, lo, cuts, dropped
+
+
+def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
+                steps: int, budget=0.0, killed=0.0, dropped=0.0):
+    """``steps`` steps of a walk on a line killed below ``kill``.
+
+    ``a`` is a nonempty float64 measure with ``a[i]`` at lo + d*i,
+    ``atoms`` a tuple of (shift, p) pairs in one class modulo d, and
+    ``kill`` the lowest surviving coordinate, or None.  A step is one
+    ``np.convolve`` with the law's dense kernel; the mass below ``kill``
+    is added to ``killed``, and then the ends are peeled, the lighter
+    first and the low one on a tie, while the mass peeled in that step
+    stays <= ``budget``; it is added to ``dropped``.  Every step gets the
+    whole budget, and the default 0 peels exact zeros only.  The ends are
+    compared and summed as Python floats, the same doubles as numpy's.
+    Stepping stops at the first step that leaves no cells.
+
+    Returns (a, lo, killed, dropped, left): ``left`` is the budget the
+    last step left, and ``a`` (shape (0,) once nothing survives) may be a
+    view of a convolution output.
+    """
+    (smin,), _, _, dense = _step_plan(atoms, (d,), 1)
+    left = budget
+    for _ in range(steps):
+        a = np.convolve(a, dense)
+        lo += smin
+        # a step that kills nothing adds nothing: killed + 0.0 == killed
+        if kill is not None and lo < kill:
+            k = -((lo - kill) // d)  # first cell at or above kill
+            killed += float(a[:k].sum())
+            a = a[k:]
+            lo += k * d
+        i0, i1, drop = 0, len(a), 0.0
+        while i0 < i1:
+            first, last = float(a[i0]), float(a[i1 - 1])
+            high = last < first
+            mass = last if high else first
+            if drop + mass > budget:
+                break
+            drop += mass
+            if high:
+                i1 -= 1
+            else:
+                i0 += 1
+        dropped += drop
+        left = budget - drop
+        if i0 == i1:
+            return a[:0], lo, killed, dropped, left
+        a = a[i0:i1]
+        lo += d * i0
+    return a, lo, killed, dropped, left

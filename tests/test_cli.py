@@ -237,6 +237,24 @@ def test_validation_error_exit_3(capsys, steps_file):
     assert "drift" in err
 
 
+@pytest.mark.parametrize("text, match", [
+    ('{"steps": [{"dx": 1, "dy": 1, "w": NaN}]}', "weight nan"),
+    ('{"steps": [{"dx": 1, "dy": 1, "w": Infinity}]}', "weight inf"),
+    ('{"steps": [{"dx": 1.5, "dy": 1, "w": 1}]}', "dx 1.5"),
+    ('{"steps": [{"dx": true, "dy": 1, "w": 1}]}', "dx True"),
+    ('{"steps": "x"}', "list"),
+    ('[{"dx": 1, "dy": 1, "w": 1}]', "list"),
+    ('{"steps": [{"dx": 1, "dy": 1, "w": 1}, {"dx": 1, "w": 1}]}', "step 1: "),
+])
+def test_bad_step_file_exit_3(capsys, tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "--steps", str(path), "dp", "survive",
+                             "--x", "1,1", "--n", "5")
+    assert (code, out) == (3, "")
+    assert match in err and "Traceback" not in err
+
+
 def test_usage_error_exit_2(capsys, steps_file):
     code, _, _ = run_cli(capsys, "--steps", steps_file, "dp", "bogus",
                          "--x", "1,1", "--n", "1")

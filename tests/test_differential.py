@@ -26,9 +26,9 @@ from quadwalk.errors import InputError, QuadwalkError
 from quadwalk.harmonic import make_tail_bound, w_rect
 from quadwalk.ladders import BoundaryConvention
 from quadwalk.pipeline import ConditionedWalkPipeline
-from quadwalk.steps import compute_moments, solve_drift, tilt
+from quadwalk.steps import _stride, compute_moments, solve_drift, tilt
 
-from oracles import count_states, enumerate_paths
+from oracles import count_states, enumerate_paths, trim_slabs
 
 KILLS = {
     Region.QUADRANT: (True, True),
@@ -378,6 +378,122 @@ def test_snapshots_own_their_boxes(sd):
     assert _fingerprint(a, mu) == _fingerprint(b, mu)
     assert not np.shares_memory(a.cells, b.cells)
     assert not np.shares_memory(a.cells, m.cells)
+
+
+# -- the leaked line stepped as one chain -----------------------------------------
+
+LINE_CHAIN_CAP = 240  # steps of the step_measure loop a chain is checked over
+
+
+@st.composite
+def drifting_laws(draw):
+    """A small law tilted by exp(h dx), h in [1.5, 4], to positive horizontal drift."""
+    law = draw(small_laws())
+    assume(max(dx for dx, _, _ in law.atoms) > 0)
+    sd = tilt(law, (draw(st.floats(1.5, 4.0)), 0.0))[0]
+    assume(compute_moments(sd).mu1 > 0)
+    return sd
+
+
+def _line_fields(m):
+    return [m.n, m.cells.tobytes(), m.cells.shape, m.lo1, m.lo2,
+            m.leaked.tobytes(), m.leak_lo, repr(m.killed_mass),
+            repr(m.dropped_mass), repr(m.leaked_total)]
+
+
+def _check_line_chain(sd, spec, x, barrier, extra=()):
+    """``run_dp`` against a ``step_measure`` loop from the point mass.
+
+    The snapshots fall before, at and after the steps where the box and
+    then the leaked line empty, and at ``extra``.  Returns the loop's
+    measures, one per step.
+    """
+    L = dp.auto_barrier(sd, x) if barrier == "auto" else barrier
+    m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=dp.chernoff_gamma(sd))
+    ms, n_max = [m], LINE_CHAIN_CAP
+    while len(ms) <= n_max:
+        m = step_measure(m, sd)
+        ms.append(m)
+        if not (m.cells.size or m.leaked.size):
+            n_max = min(n_max, m.n + 8)  # all dead: a few steps more
+    snaps = {n_max, *(k for k in extra if k <= n_max)}
+    for empty in (lambda m: not m.cells.size,
+                  lambda m: not m.cells.size and not m.leaked.size):
+        e = next((k for k, m in enumerate(ms) if empty(m)), None)
+        if e is not None:
+            snaps |= {k for k in (e - 1, e, e + 1, e + 7) if k <= n_max}
+    got = run_dp(sd, x, spec, n_max, snapshots=snaps, barrier=barrier)
+    assert set(got) == snaps
+    for k in snaps:
+        assert _line_fields(got[k]) == _line_fields(ms[k]), k
+    return ms
+
+
+# every dy is -1 but that of a rare step left: the line dies out
+LINE_DIES_OUT = validate_steps([((1, -1), 2.0), ((2, -1), 1.0), ((-1, 0), 1.0)])
+
+
+@given(drifting_laws(), st.sampled_from([Region.QUADRANT, Region.RIGHT_HALF_PLANE]),
+       st.sampled_from(list(BoundaryConvention)), st.sampled_from(["auto", 0, 2]),
+       st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       st.lists(st.integers(1, LINE_CHAIN_CAP), max_size=3))
+@example(LINE_DIES_OUT, Region.QUADRANT, BoundaryConvention.KILL_ON_NONPOSITIVE,
+         0, (0, 2), [])
+@settings(max_examples=25, deadline=None)
+def test_line_chain_matches_step_measure(sd, region, conv, barrier, offset, extra):
+    spec = ExitSpec(region=region, conv=conv)
+    if barrier != "auto":
+        barrier += sd.max_abs_dx
+    x = (spec.threshold + offset[0], spec.threshold + offset[1])
+    _check_line_chain(sd, spec, x, barrier, extra)
+
+
+def test_line_chain_where_the_line_dies_out():
+    ms = _check_line_chain(LINE_DIES_OUT, ExitSpec(), (1, 3), 2)
+    assert ms[-1].leaked_total > 0 and not ms[-1].leaked.size
+    assert not ms[-1].cells.size and ms[-1].n < LINE_CHAIN_CAP
+
+
+def test_line_chain_on_the_right_half_plane():
+    # the line has no kill there: once the box is empty, killed mass stays
+    sd = validate_steps([((1, -1), 2.0), ((1, 1), 1.0), ((-1, 1), 1.0)])
+    ms = _check_line_chain(sd, ExitSpec(region=Region.RIGHT_HALF_PLANE),
+                           (1, 1), 1)
+    e = next(k for k, m in enumerate(ms) if not m.cells.size)
+    assert e < LINE_CHAIN_CAP and ms[-1].leaked.size
+    assert {m.killed_mass for m in ms[e:]} == {ms[e].killed_mass}
+
+
+def _half_plane_old_loop(sd, x2, n, conv):
+    """``half_plane_survival`` as it stepped before the line chain.
+
+    Per step one ``np.convolve`` with the dense vertical kernel, the kill
+    slice, and the exact-zero end peel of ``oracles.trim_slabs``.
+    """
+    atoms = sd.vertical_atoms
+    smin, (d,) = atoms[0][0], _stride(atoms)
+    dense = np.zeros((atoms[-1][0] - smin) // d + 1)
+    for dy, p in atoms:
+        dense[(dy - smin) // d] += p
+    alive, lo, t = np.ones(1), x2, conv.threshold
+    for _ in range(n):
+        alive = np.convolve(alive, dense)
+        lo += smin
+        k = max(-((lo - t) // d), 0)
+        alive, lo = alive[k:], lo + k * d
+        alive, (lo,), _ = trim_slabs(alive, (lo,), 0, (d,))
+        if not alive.size:
+            break
+    return float(alive.sum())
+
+
+@given(st.one_of(small_laws(), periodic_laws()), st.sampled_from(list(BoundaryConvention)),
+       st.integers(0, 3), st.integers(0, 200))
+@settings(max_examples=40, deadline=None)
+def test_half_plane_survival_matches_its_old_loop(sd, conv, dx2, n):
+    x2 = conv.threshold + dx2
+    got = half_plane_survival(sd, x2, n, conv)
+    assert got.hex() == _half_plane_old_loop(sd, x2, n, conv).hex()
 
 
 # -- the certified prune -------------------------------------------------------------

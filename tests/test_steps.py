@@ -25,7 +25,7 @@ from quadwalk.errors import (
     NegativeWeightError,
     ZeroTotalWeightError,
 )
-from quadwalk.steps import _Buffers, _kill_step, _trim
+from quadwalk.steps import _Buffers, _kill_step, _line_steps, _trim
 
 from oracles import convolve_atoms, lattice_index, trim_slabs
 
@@ -66,6 +66,29 @@ class TestValidateSteps:
     def test_normalization_invariant(self):
         sd = validate_steps([((1, 2), 0.3), ((0, -1), 1.9), ((-2, 0), 0.8)])
         assert math.fsum(w for _, _, w in sd.atoms) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("step, match", [
+        (((1, 0), math.nan), "step 1: weight nan"),
+        (((1, 0), math.inf), "step 1: weight inf"),
+        (((1, 0), -math.inf), "step 1: weight -inf"),
+        (((1, 0), True), "step 1: weight True"),
+        (((1, 0), "0.5"), "step 1: weight '0.5'"),
+        (((1.5, 0), 1.0), "step 1: dx 1.5"),
+        (((True, 0), 1.0), "step 1: dx True"),
+        (((1, np.bool_(False)), 1.0), "step 1: dy .*False"),
+        (((1, "1"), 1.0), "step 1: dy '1'"),
+        (((1, math.nan), 1.0), "step 1: dy nan"),
+    ])
+    def test_bad_step_refused(self, step, match):
+        with pytest.raises(InputError, match=match):
+            validate_steps([((0, 1), 1.0), step])
+
+    def test_integral_increments_of_any_int_or_float_type(self):
+        # 1.0 is the integer 1; numpy ints and floats are ints and weights
+        sd = validate_steps([((1.0, np.int64(-1)), np.float64(2.0)),
+                             ((np.int32(-1), 1), 1)])
+        assert sd.atoms == ((-1, 1, 1 / 3), (1, -1, 2 / 3))
+        assert all(type(v) is int for dx, dy, _ in sd.atoms for v in (dx, dy))
 
 
 class TestMoments:
@@ -392,6 +415,39 @@ def test_trim_line_matches_slab_peel(cells, equal_ends, exact, lo, stride, data)
     got, want = _trim(a, (lo,), budget, (stride,)), trim_slabs(a, (lo,), budget, (stride,))
     assert _same(got[0], want[0]) and got[1] == want[1]
     assert type(got[2]) is type(want[2]) and float(got[2]).hex() == float(want[2]).hex()
+
+
+@given(st.lists(line_cells, min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(-2, 2), st.floats(1e-3, 1.0)), min_size=1,
+                max_size=3, unique_by=lambda a: a[0]),
+       st.integers(1, 3), st.integers(-3, 3), st.none() | st.integers(-4, 6),
+       st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_line_steps_match_convolve_and_slab_peel(cells, law, d, lo, kill, steps, data):
+    atoms = tuple(sorted((d * s, p) for s, p in law))
+    a = np.array(cells)
+    budget = data.draw(st.one_of(st.just(0.0), st.floats(0.0, float(a.sum()))))
+    got = _line_steps(a, lo, atoms, kill, d, steps, budget, 0.5, 0.25)
+    # the reference: one np.convolve, the kill slice and the generic slab
+    # peel per step, sums added one by one
+    smin = atoms[0][0]
+    dense = np.zeros((atoms[-1][0] - smin) // d + 1)
+    for s, p in atoms:
+        dense[(s - smin) // d] += p
+    killed, dropped, left = 0.5, 0.25, budget
+    for _ in range(steps):
+        a = np.convolve(a, dense)
+        lo += smin
+        k = 0 if kill is None else max(-((lo - kill) // d), 0)
+        killed += float(a[:k].sum())
+        a, lo = a[k:], lo + k * d
+        a, (lo,), drop = trim_slabs(a, (lo,), budget, (d,))
+        dropped += float(drop)
+        left = budget - float(drop)
+        if not a.size:
+            break
+    assert got[0].tobytes() == a.tobytes() and got[1] == lo
+    assert [float(v).hex() for v in got[2:]] == [v.hex() for v in (killed, dropped, left)]
 
 
 @st.composite
