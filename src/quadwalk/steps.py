@@ -222,7 +222,12 @@ def validate_steps(raw) -> StepDistribution:
         if w < 0:
             raise NegativeWeightError(f"negative weight {w} for step ({dx},{dy})")
         merged[(dx, dy)] = merged.get((dx, dy), 0.0) + w
-    total = math.fsum(merged.values())
+    try:
+        total = math.fsum(merged.values())
+    except OverflowError:  # the exact sum is past the largest float
+        total = math.inf
+    if not math.isfinite(total):
+        raise InputError("total weight overflows a float")
     if total <= 0:
         raise ZeroTotalWeightError("total weight is zero")
     atoms = tuple(
@@ -658,7 +663,9 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
         # a step that kills nothing adds nothing: killed + 0.0 == killed
         if kill is not None and lo < kill:
             k = -((lo - kill) // d)  # first cell at or above kill
-            killed += float(a[:k].sum())
+            # numpy sums one cell to itself; its sum() call costs more than
+            # the rest of a step but the convolution
+            killed += float(a[0] if k == 1 else a[:k].sum())
             a = a[k:]
             lo += k * d
         i0, i1, drop = 0, len(a), 0.0

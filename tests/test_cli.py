@@ -245,6 +245,8 @@ def test_validation_error_exit_3(capsys, steps_file):
     ('{"steps": "x"}', "list"),
     ('[{"dx": 1, "dy": 1, "w": 1}]', "list"),
     ('{"steps": [{"dx": 1, "dy": 1, "w": 1}, {"dx": 1, "w": 1}]}', "step 1: "),
+    ('{"steps": [{"dx": 1, "dy": 1, "w": 1e308}, {"dx": 0, "dy": 1, "w": 1e308}]}',
+     "overflows"),
 ])
 def test_bad_step_file_exit_3(capsys, tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -83,6 +83,12 @@ class TestValidateSteps:
         with pytest.raises(InputError, match=match):
             validate_steps([((0, 1), 1.0), step])
 
+    @pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+    def test_overflowing_total_refused(self, second):
+        # merged into one inf, or summed past the largest float by fsum
+        with pytest.raises(InputError, match="overflows"):
+            validate_steps([((0, 1), 1e308), (second, 1e308)])
+
     def test_integral_increments_of_any_int_or_float_type(self):
         # 1.0 is the integer 1; numpy ints and floats are ints and weights
         sd = validate_steps([((1.0, np.int64(-1)), np.float64(2.0)),
