@@ -372,7 +372,9 @@ def _owned(a: np.ndarray) -> np.ndarray:
 def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
            snapshots=(), barrier: int | str | None = None
            ) -> dict[int, QuadrantMeasure]:
-    """Propagate n_max steps, returning the measures at the snapshot times.
+    """The measures at the snapshot times up to n_max (n_max alone by default).
+
+    Stepping stops at the last snapshot.
 
     ``barrier='auto'`` sizes the barrier by ``auto_barrier`` so the error
     bound is below 1e-12; ``barrier=None`` keeps the exact joint measure,
@@ -399,15 +401,15 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     if 0 in want:
         out[0] = m
     m = replace(m, _work=_Buffers(mapped=True))
-    for stop in sorted(t for t in want | {n_max} if 0 < t <= n_max):
+    stops = sorted(t for t in want if 0 < t <= n_max)
+    for stop in stops:
         while m.n < stop and m.cells.size:
             m = step_measure(m, sd)
         if m.n < stop:
             m = _line_only(m, sd, stop)
-        if stop in want:
-            # the next step overwrites the buffers; the last box is kept
-            cells = m.cells if m.n == n_max else _owned(m.cells)
-            out[m.n] = replace(m, cells=cells, _work=None)
+        # the next step overwrites the buffers; the last box is kept
+        cells = m.cells if stop == stops[-1] else _owned(m.cells)
+        out[m.n] = replace(m, cells=cells, _work=None)
     return out
 
 

@@ -380,6 +380,14 @@ def test_snapshots_own_their_boxes(sd):
     assert not np.shares_memory(a.cells, m.cells)
 
 
+def test_run_stops_at_its_last_snapshot():
+    sd = validate_steps([((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)])
+    with patch.object(dp, "step_measure", wraps=dp.step_measure) as stepped:
+        ms = run_dp(sd, (1, 1), ExitSpec(), 10 ** 6, snapshots={0, 7, 30},
+                    barrier=None)
+    assert set(ms) == {0, 7, 30} and stepped.call_count == 30
+
+
 # -- the leaked line stepped as one chain -----------------------------------------
 
 LINE_CHAIN_CAP = 240  # steps of the step_measure loop a chain is checked over
