@@ -663,8 +663,8 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
         # a step that kills nothing adds nothing: killed + 0.0 == killed
         if kill is not None and lo < kill:
             k = -((lo - kill) // d)  # first cell at or above kill
-            # numpy sums one cell to itself; its sum() call costs more than
-            # the rest of a step but the convolution
+            # numpy sums a one-cell slice to its cell: skip the sum() call,
+            # the dearest part of a step after the convolution
             killed += float(a[0] if k == 1 else a[:k].sum())
             a = a[k:]
             lo += k * d

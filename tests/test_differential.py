@@ -424,10 +424,12 @@ def _check_line_chain(sd, spec, x, barrier, extra=()):
         e = next((k for k, m in enumerate(ms) if empty(m)), None)
         if e is not None:
             snaps |= {k for k in (e - 1, e, e + 1, e + 7) if k <= n_max}
-    got, mu = run_dp(sd, x, spec, n_max, snapshots=snaps, barrier=barrier), compute_moments(sd).mu
+    got = run_dp(sd, x, spec, n_max, snapshots=snaps, barrier=barrier)
     assert set(got) == snaps
+    mu = compute_moments(sd).mu
     for k in snaps:
-        assert got[k].n == k and _fingerprint(got[k], mu) == _fingerprint(ms[k], mu), k
+        assert got[k].n == k, k
+        assert _fingerprint(got[k], mu) == _fingerprint(ms[k], mu), k
     return ms
 
 
