@@ -168,8 +168,7 @@ def qbar(y1: float, gp: GaussParams) -> float:
     return math.exp(-gp.sigma2sq * y1 ** 2 / (4 * D)) / (8 * math.sqrt(D))
 
 
-def qbar_convolution(y1: float, gp: GaussParams,
-                     epsabs: float = QUAD_EPSABS) -> float:
+def qbar_convolution(y1: float, gp: GaussParams) -> float:
     """Quadrature oracle: integral of p(y + yt) p(yt) over R x [0, inf)."""
     s1 = math.sqrt(gp.sigma1sq)
     s2 = gp.sigma2
@@ -179,7 +178,7 @@ def qbar_convolution(y1: float, gp: GaussParams,
     def f(t2, t1):
         return density_p((y1 + t1, t2), gp) * density_p((t1, t2), gp)
 
-    val, _ = integrate.dblquad(f, -lim1, lim1, 0.0, lim2, epsabs=epsabs)
+    val, _ = integrate.dblquad(f, -lim1, lim1, 0.0, lim2, epsabs=QUAD_EPSABS)
     return val
 
 
@@ -194,11 +193,10 @@ def int_q(gp: GaussParams, kappa: float, kappa_prime: float) -> float:
     return kappa * kappa_prime * math.sqrt(math.pi / 2.0) / gp.sigma2
 
 
-def int_q_quadrature(gp: GaussParams, consts: AsymptoticConstants,
-                     epsabs: float = QUAD_EPSABS) -> float:
+def int_q_quadrature(gp: GaussParams, consts: AsymptoticConstants) -> float:
     lim = TRUNC_SD * math.sqrt(gp.D) / gp.sigma2
     val, _ = integrate.quad(lambda z: q_density(z, gp, consts), -lim, lim,
-                            epsabs=epsabs)
+                            epsabs=QUAD_EPSABS)
     return val
 
 
@@ -287,26 +285,24 @@ def _row(tid, n, measured, predicted, err=0.0) -> VerifyRow:
                      predicted=predicted, ratio=ratio, dp_error_bound=err)
 
 
-DEFAULT_WINDOWS = ((-1.0, 0.0), (-0.5, 0.0), (-1.0, 0.5), (-0.5, 0.5))
+# lower-left corners u of the unit windows ``verify integral`` reads
+WINDOWS = ((-1.0, 0.0), (-0.5, 0.0), (-1.0, 0.5), (-0.5, 0.5))
 
 
 def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
            n_schedule=(256, 512, 1024, 2048), y=None, y2: int = 1,
-           windows=DEFAULT_WINDOWS, notes=None) -> list[VerifyRow]:
+           notes=None) -> list[VerifyRow]:
     """Compare exact DP values against the matching predictor.
 
     Returns one row per (n, point); lattice-infeasible requests are skipped
-    with a note appended to ``notes`` (a list, when supplied).
+    with a note appended to ``notes``, a list when supplied.
     ``n_schedule`` must be nonempty, with every n positive.  ``llt-half``
     kills on x2 only, and its prediction is ``predict_llt`` with V(x2) in
     place of W.
     """
     from . import dp as dpmod
 
-    def note(msg):
-        if notes is not None:
-            notes.append(msg)
-
+    note = [].append if notes is None else notes.append
     schedule = sorted(set(int(n) for n in n_schedule))
     if not schedule:
         raise InputError("the n schedule is empty")
@@ -356,7 +352,7 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
         elif theorem_id == "integral":
             rows += [_row(f"integral(u={u[0]}:{u[1]})", n, m.window_mass(u, mu),
                           predict_integral(n, u, kappa, W, gp), err)
-                     for u in windows]
+                     for u in WINDOWS]
         elif theorem_id == "line":
             if pipe.lattice.row(n, y2 - x[1]) is None:
                 note(f"n={n}: height {y2} unreachable; skipped")

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import asymptotics, dp, ladders, montecarlo
 from .errors import InputError, NumericError, QuadwalkError
 from .ladders import BoundaryConvention
-from .pipeline import ConditionedWalkPipeline
+from .pipeline import W_TOL, ConditionedWalkPipeline
 from .steps import compute_moments, lattice_decompose, load_steps, solve_drift, tilt
 
 SCHEMA_VERSION = "1"
@@ -178,14 +178,12 @@ def cmd_dp(args):
                                   barrier=args.barrier)
         return Table(["n", "probability", "error_bound"],
                      [[args.n, p, err]])
+    if args.what in ("local", "count") and args.y is None:
+        raise InputError(f"dp {args.what} needs --y")
     if args.what == "local":
-        if args.y is None:
-            raise InputError("dp local needs --y")
         p = dp.local_prob(sd, args.x, args.y, args.n, spec)
         return Table(["n", "probability"], [[args.n, p]])
     if args.what == "count":
-        if args.y is None:
-            raise InputError("dp count needs --y")
         c = dp.count_paths(sd, args.x, args.y, args.n, spec)
         return Table(["count"], [[str(c)]], scalar_key="count")
     c = dp.count_line(sd, args.x, args.n, spec=spec)
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("harmonic-w", help="harmonic function W(x)")
     sp.add_argument("--x", type=_int_pair, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=W_TOL)
     sp.set_defaults(func=cmd_harmonic_w)
 
     sp = sub.add_parser("dp", help="exact dynamic programming")

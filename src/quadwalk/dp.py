@@ -236,11 +236,10 @@ class QuadrantMeasure:
         j = _coset_index(y2, lo, d, len(col))
         return 0.0 if j is None else float(col[j])
 
-    def window_mass(self, u, mu, n: int | None = None) -> float:
+    def window_mass(self, u, mu) -> float:
         """Mass with ((pos - n*mu)/sqrt(n)) in the half-open unit square u + [0,1)^2."""
         self._require_exact_joint()
-        n = self.n if n is None else n
-        s = math.sqrt(n)
+        n, s = self.n, math.sqrt(self.n)
         box = []
         for k, (lo, d, size) in enumerate(zip((self.lo1, self.lo2), self.stride,
                                               self.cells.shape)):
@@ -264,7 +263,11 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 def _mgf(hp: dict[int, float], s: float, k: int = 0) -> float:
     """k-th derivative of phi(s) = E[exp(-s X1)] for the horizontal law ``hp``."""
-    return math.fsum(p * (-v) ** k * math.exp(-s * v) for v, p in hp.items())
+    # for k <= 1 only the terms of steps v < 0 overflow, and they are positive
+    try:
+        return math.fsum(p * (-v) ** k * math.exp(-s * v) for v, p in hp.items())
+    except OverflowError:
+        return math.inf
 
 
 def _mgf_min(hp: dict[int, float]) -> tuple[float, float]:

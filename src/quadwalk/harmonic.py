@@ -19,7 +19,7 @@ import numpy as np
 # step_measure is re-exported: the benchmark's tracer test reads it here
 from .dp import ExitSpec, _mgf_min, chernoff_gamma, step_measure  # noqa: F401
 from .errors import BarrierError, InputError
-from .steps import StepDistribution, compute_moments
+from .steps import StepDistribution, _check_size, compute_moments
 
 __all__ = [
     "HarmonicEstimate",
@@ -112,19 +112,20 @@ def _pull(g: np.ndarray, atoms, origin, shape) -> np.ndarray:
     return out
 
 
-def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
+def w_rect(sd: StepDistribution, x, spec: ExitSpec, v_table,
            tail_bound: TailBound, tol: float, n_max: int, barrier: int,
-           block: tuple[int, int] | None = None
-           ) -> dict[tuple[int, int], HarmonicEstimate]:
+           block: tuple[int, int]) -> dict[tuple[int, int], HarmonicEstimate]:
     """Bracketed W(y) = lim_n E[v(y2 + S2(n)); T_y > n] on a block of starts.
 
     ``block`` = (first column, top row) spans the starts
     [first, L - max|dx|] x [t, top], L = ``barrier`` and t the quadrant
-    threshold; by default it is x's own rectangle, [x1, L - max|dx|] x
-    [t, x2].  The backward iterate f_{k+1}(y) = sum_s p f_k(y + s), f_0 = v,
-    runs on the strip [t, L] x [t, top + N max(dy)], which loses its top
-    max(dy) rows per step; f is 0 at killed points, and past column L it is
-    the vertical-only iterate of v, as the forward run's leaked measure is.
+    threshold; (x1, x2) is x's own rectangle.  ``v_table(m)`` is the array
+    v(0..m), asked for the heights the pass reads: to top + max|dy|, then to
+    top + N max(dy) once x's horizon N is known.  The backward iterate
+    f_{k+1}(y) = sum_s p f_k(y + s), f_0 = v, runs on the strip [t, L] x
+    [t, top + N max(dy)], which loses its top max(dy) rows per step; f is 0
+    at killed points, and past column L it is the vertical-only iterate of
+    v, as the forward run's leaked measure is.
     Each start y is read at n = 1, 2, 4, ... up to its own a-priori horizon
     N_y, the first such n (or n_max) whose width for the upper value
     v(y2 + max|dy|) is within ``tol``; that value bounds f_n for V and for
@@ -144,19 +145,20 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
         raise InputError(f"start {x} is not inside the quadrant")
     if barrier < x1 + max_dx:
         raise BarrierError(f"barrier {barrier} below x1 + max |dx| = {x1 + max_dx}")
-    first, top = (x1, x2) if block is None else block
+    first, top = block
     if not (t <= first <= x1 and top >= x2):
         raise InputError(f"block {block} does not hold the start {x}")
     y1 = range(first, barrier - max_dx + 1)
     y2 = np.arange(t, top + 1)
     at_x = (x1 - first, x2 - t)
+    ncol = barrier - t + 1
+    _check_size(ncol * len(y2), "the W block")
 
     # each start's horizon, as the index of its checkpoint in ns_all
     ns_all = [0] + [1 << k for k in range(n_max.bit_length())]
     if ns_all[-1] != n_max:
         ns_all.append(n_max)
-    v = np.asarray(v, dtype=float)
-    v_top = v[y2 + tail_bound.max_dy]
+    v_top = v_table(top + tail_bound.max_dy)[y2 + tail_bound.max_dy]
     horizon = np.full((len(y1), len(y2)), len(ns_all) - 1)
     for c in range(len(ns_all) - 1, 0, -1):
         within = tail_bound.width(y1, y2, ns_all[c], v_top, barrier) <= tol
@@ -166,10 +168,8 @@ def w_rect(sd: StepDistribution, x, spec: ExitSpec, v: np.ndarray,
     dxs, dys = [a[0] for a in sd.atoms], [a[1] for a in sd.atoms]
     left, right = max(-min(dxs), 0), max(max(dxs), 0)
     down, up = max(-min(dys), 0), max(max(dys), 0)
-    if top + N * up >= len(v):
-        raise InputError(f"V table too short: need {top + N * up + 1}, have {len(v)}")
-    ncol = barrier - t + 1
-    h = v[t:top + N * up + 1]
+    _check_size(ncol * (top + N * up - t + 1), "the W strip")
+    h = v_table(top + N * up)[t:]
     f = np.tile(h, (ncol, 1))
     cells = (slice(first - t, barrier - max_dx - t + 1), slice(0, top - t + 1))
     snaps = [f[cells].copy()]

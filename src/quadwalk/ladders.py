@@ -29,7 +29,7 @@ from .errors import (
     NumericError,
     UnsupportedLatticeError,
 )
-from .steps import StepDistribution
+from .steps import StepDistribution, _check_size
 
 __all__ = [
     "BoundaryConvention",
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+DRIFT_TOL = 1e-10  # largest |E[dy]| of a driftless vertical walk
+XMAX_CONVENTION = 50  # the convention check reads heights 1..XMAX_CONVENTION
+HARMONIC_TOL = 1e-9  # and passes a one-step residual up to this
 # Rounding allowed on a probability or a total mass before it counts as
 # a numeric failure: ladder mass above 1, overshoot laws outside [0, 1].
 MASS_TOL = 1e-12
@@ -115,6 +118,8 @@ class CrossingSolver:
             raise UnsupportedLatticeError(
                 f"vertical steps all lie in {g}Z; rescale the walk")
         deg = self.u + self.d
+        # np.roots takes the roots as eigenvalues of a matrix of (deg - 2)^2 entries
+        _check_size(deg * deg, "the characteristic polynomial's matrix")
         coeffs = np.zeros(deg + 1)
         for s, p in pmf.items():
             coeffs[s + self.d] += p
@@ -172,7 +177,7 @@ def _ladder_engine(pmf: dict[int, float], conv: BoundaryConvention) -> LadderDis
     (KILL_ON_NEGATIVE) on position < 0, overshoot -pos >= 1.
     """
     mean = math.fsum(v * p for v, p in pmf.items())
-    if abs(mean) > 1e-10:
+    if abs(mean) > DRIFT_TOL:
         raise NonzeroDriftError(f"vertical drift {mean:.3e} is not zero")
     solver = CrossingSolver(pmf)  # refuses a law without up or down steps
     vals = sorted(pmf)
@@ -217,29 +222,18 @@ def ascending_ladder(sd: StepDistribution) -> LadderDist:
     return _ladder_engine(pmf, BoundaryConvention.KILL_ON_NEGATIVE)
 
 
-def _conditioned_positive(ld: LadderDist):
-    p0 = ld.pmf.get(0, 0.0)
-    if p0 >= 1.0 - 1e-15:
-        raise InputError("ladder law has all mass at overshoot 0")
-    jmax = ld.max_value()
-    arr = np.zeros(jmax + 1)
-    for j, p in ld.pmf.items():
-        if j > 0:
-            arr[j] = p / (1.0 - p0)
-    return p0, arr
+def _renewal_mass(pmf: dict[int, float], U: int) -> np.ndarray:
+    """u_0..u_U of u_0 = 1, u_k = sum_{j >= 1} pmf[j] u_{k-j}.
 
-
-def _renewal_mass(pos: np.ndarray, U: int) -> np.ndarray:
-    """u_0..u_U of u_0 = 1, u_k = sum_j pos[j] u_{k-j}, for pos[0] == 0.
-
-    u_k is the mass the renewal process with step law ``pos`` puts on k,
-    sum_m P(Z_m = k), in O(U * len(pos)) operations.  Each entry depends
-    only on the earlier ones, so a longer table repeats a shorter one
-    exactly.
+    u_k is the mass the renewal process with step law ``pmf`` (its atoms
+    j >= 1) puts on k, sum_m P(Z_m = k), in O(U * len(pmf)) operations.
+    Each entry depends only on the earlier ones, so a longer table repeats
+    a shorter one exactly.
     """
     if U < 0:
         raise InputError(f"renewal table size must be >= 0, got {U}")
-    steps = [(j, float(p)) for j, p in enumerate(pos) if j and p]
+    _check_size(U + 1, "a renewal table")
+    steps = sorted((j, p) for j, p in pmf.items() if j > 0)
     u = [1.0] + [0.0] * U
     for k in range(1, U + 1):
         total = 0.0
@@ -260,7 +254,10 @@ def renewal_V(ld: LadderDist, U: int) -> RenewalTable:
     """
     if ld.mean <= 0:
         raise InputError("weak ladder mean must be positive for V")
-    p0, pos = _conditioned_positive(ld)
+    p0 = ld.pmf.get(0, 0.0)
+    if p0 >= 1.0 - 1e-15:
+        raise InputError("ladder law has all mass at overshoot 0")
+    pos = {j: p / (1.0 - p0) for j, p in ld.pmf.items()}
     S = np.cumsum(_renewal_mass(pos, U))
     return RenewalTable(values=S / (1.0 - p0), U=U)
 
@@ -269,13 +266,9 @@ def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
     """H(u) = 1_{u>0} + sum_k P(chi+_1 + ... + chi+_k < u), strict ascent."""
     if ld.pmf.get(0, 0.0) > 0:
         raise InputError("strict ascending ladder law cannot charge 0")
-    jmax = ld.max_value()
-    arr = np.zeros(jmax + 1)
-    for j, p in ld.pmf.items():
-        arr[j] = p
     # for u >= 1 the k = 0 term P(Z_0 < u) is the indicator, and
     # P(Z_k < u) = P(Z_k <= u-1): the renewal CDF shifted right by one
-    H = np.cumsum(_renewal_mass(arr, U))[:U]
+    H = np.cumsum(_renewal_mass(ld.pmf, U))[:U]
     return RenewalTable(values=np.concatenate(([0.0], H)), U=U)
 
 
@@ -313,22 +306,22 @@ class ConventionReport:
     ladder: LadderDist    # the weak descending ladder law the test built V from
 
 
-def resolve_convention(sd: StepDistribution, xmax: int = 50,
-                       tol: float = 1e-9) -> ConventionReport:
+def resolve_convention(sd: StepDistribution) -> ConventionReport:
     """Find the unique kill rule under which the weak-ladder series V is harmonic.
 
     The series V is always built from the weak descending ladder law;
     what varies is whether the one-step identity holds when killing on <= 0
-    or on < 0.  Exactly one rule must pass on x2 in [1, xmax], otherwise a
-    ConventionError is raised.
+    or on < 0.  Exactly one rule must pass, to ``HARMONIC_TOL`` on x2 in
+    [1, XMAX_CONVENTION], otherwise a ConventionError is raised.
     """
     pmf = sd.vertical_pmf()
     ld = descending_ladder(sd)
     maxdy = max(abs(v) for v in pmf)
-    table = renewal_V(ld, xmax + maxdy + 1).values
-    residuals = {conv: harmonicity_residual(pmf, table, conv, range(1, xmax + 1))
+    table = renewal_V(ld, XMAX_CONVENTION + maxdy + 1).values
+    heights = range(1, XMAX_CONVENTION + 1)
+    residuals = {conv: harmonicity_residual(pmf, table, conv, heights)
                  for conv in BoundaryConvention}
-    passing = [c for c, r in residuals.items() if r <= tol]
+    passing = [c for c, r in residuals.items() if r <= HARMONIC_TOL]
     if len(passing) != 1:
         raise ConventionError(
             f"expected exactly one passing convention, residuals: "

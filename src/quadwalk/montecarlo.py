@@ -10,9 +10,7 @@ word per survivor, and a block stops once it has none left.  The word's
 top 53 bits are the uniform ``(word >> 11) * 2**-53`` that
 ``Generator.random`` returns from the same stream, and the atom is the
 one the cumulative weights give that uniform; the comparison is done on
-the integer word, exactly.  Earlier versions drew a uniform for every
-path at every step, so a given seed now gives other numbers than it did
-then, from the same distribution.
+the integer word, exactly.
 
 Only the coordinates that the exit spec kills on, and that can reach
 their threshold within n steps, are tracked, packed into one int64 per

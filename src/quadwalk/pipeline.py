@@ -26,9 +26,8 @@ from .steps import LatticeStructure, Moments, StepDistribution, compute_moments,
 
 __all__ = ["ConditionedWalkPipeline"]
 
-DRIFT_TOL = 1e-10
-XMAX_CONVENTION = 50  # heights 1..50 checked for V- and H-harmonicity
 N_MAX = 4096  # last checkpoint of the W iterate
+W_TOL = 1e-10  # default bracket width of W
 BARRIER_TARGET = 1e-16  # exp(-gamma (L + 1)) for the W barrier L
 
 
@@ -67,7 +66,7 @@ class ConditionedWalkPipeline:
               conv: BoundaryConvention = BoundaryConvention.KILL_ON_NONPOSITIVE
               ) -> "ConditionedWalkPipeline":
         moments = compute_moments(sd)
-        if abs(moments.mu2) > DRIFT_TOL:
+        if abs(moments.mu2) > ladders.DRIFT_TOL:
             raise NonzeroDriftError(
                 f"vertical drift {moments.mu2:.3e}: tilt the walk first (a "
                 f"drift along +x2 is the paper's case after swapping x1 and x2)"
@@ -76,7 +75,7 @@ class ConditionedWalkPipeline:
             raise InputError("horizontal drift must be positive")
         lattice = lattice_decompose(sd)
         gauss = GaussParams.from_moments(moments)
-        conv_report = ladders.resolve_convention(sd, xmax=XMAX_CONVENTION)
+        conv_report = ladders.resolve_convention(sd)
         chi_minus = conv_report.ladder
         chi_plus = ladders.ascending_ladder(sd)
         kap = ladders.kappa(chi_minus, gauss.sigma2)
@@ -92,11 +91,11 @@ class ConditionedWalkPipeline:
         )
         # H must be harmonic for the reversed vertical walk killed on <= 0
         pmf = {-v: p for v, p in sd.vertical_pmf().items()}
-        table = pipe._ensure_H(XMAX_CONVENTION + max(map(abs, pmf)) + 1).values
+        xmax = ladders.XMAX_CONVENTION
+        table = pipe._ensure_H(xmax + max(map(abs, pmf)) + 1).values
         pipe.h_residual = ladders.harmonicity_residual(
-            pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE,
-            range(1, XMAX_CONVENTION + 1))
-        if pipe.h_residual > 1e-9:
+            pmf, table, BoundaryConvention.KILL_ON_NONPOSITIVE, range(1, xmax + 1))
+        if pipe.h_residual > ladders.HARMONIC_TOL:
             raise ladders.ConventionError(
                 f"H fails reversed-walk harmonicity: residual {pipe.h_residual:.3e}"
             )
@@ -113,14 +112,10 @@ class ConditionedWalkPipeline:
         return self._H
 
     def V(self, u: int) -> float:
-        """The literal weak-ladder renewal series."""
-        if u < 0:
-            return 0.0
+        """The literal weak-ladder renewal series, 0 below 0."""
         return self._ensure_V(u)(u)
 
     def H(self, u: int) -> float:
-        if u < 0:
-            return 0.0
         return self._ensure_H(u)(u)
 
     @property
@@ -133,22 +128,20 @@ class ConditionedWalkPipeline:
         return self.V(u - self.v_shift)
 
     def v_eff_vector(self, max_height: int) -> np.ndarray:
-        shift = self.v_shift
-        values = self._ensure_V(max_height).values
-        out = np.zeros(max_height + 1)
-        out[shift:] = values[:max_height + 1 - shift]
-        return out
+        """v_eff at heights 0..max_height: the weight table of ``w_rect``."""
+        values = self._ensure_V(max_height).values[:max_height + 1 - self.v_shift]
+        return np.concatenate((np.zeros(self.v_shift), values))
 
     # -- harmonic function W -------------------------------------------------
 
-    def w(self, x, tol: float = 1e-10) -> HarmonicEstimate:
+    def w(self, x, tol: float = W_TOL) -> HarmonicEstimate:
         """Estimate at x, cached by (point, tol).
 
         A miss runs one ``w_rect`` pass over x's barrier block: the starts
         whose ``auto_barrier`` is x's L, which are the columns
         [t, L - max|dx|] when L is the law's own barrier and x1 alone when x1
-        sets it, at heights t .. 2 x2 (the doubling of ``_grown``).  The
-        horizon still comes from x, and a start of the block is cached when
+        sets it, at heights t .. 2 x2; the pass asks ``v_eff_vector`` for the
+        heights it reads.  The horizon comes from x, and a start is cached when
         the pass reaches the end of its own reading, which holds at least
         for each start whose own a-priori horizon is at most x's.  Each
         estimate cached equals the one a query at its own point would
@@ -160,9 +153,8 @@ class ConditionedWalkPipeline:
             t = self.spec.threshold
             own = auto_barrier(self.sd, (t, x[1]), BARRIER_TARGET) == L
             first = t if own else x[0]
-            v = self.v_eff_vector(2 * x[1] + (N_MAX + 1) * self.sd.max_abs_dy)
-            block = w_rect(self.sd, x, self.spec, v, self._tail_bound, tol,
-                           N_MAX, L, (first, 2 * x[1]))
+            block = w_rect(self.sd, x, self.spec, self.v_eff_vector,
+                           self._tail_bound, tol, N_MAX, L, (first, 2 * x[1]))
             self._w_cache.update(((y, tol), est) for y, est in block.items())
         return self._w_cache[x, tol]
 

@@ -53,6 +53,10 @@ from .errors import (
     ZeroTotalWeightError,
 )
 
+# Entries that one kernel buffer, dense line kernel or root-finding matrix
+# may hold (128 MiB of float64): a larger one is refused, not allocated.
+MAX_CELLS = 1 << 24
+
 __all__ = [
     "StepDistribution",
     "Moments",
@@ -335,8 +339,11 @@ def _require_interior(sd: StepDistribution, target: tuple[float, float]) -> None
     )
 
 
-def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
-                max_iter: int = 100) -> TiltParams:
+TILT_TOL = 1e-13  # solve_drift's |tilted mean - target| at the end
+TILT_MAX_ITER = 100  # its Newton steps, each of length <= 1
+
+
+def solve_drift(sd: StepDistribution, target_mu) -> TiltParams:
     """Find h with tilted drift equal to ``target_mu`` by damped Newton.
 
     A target on or outside the convex hull of the support has no tilt and
@@ -345,7 +352,8 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
     singular.  Newton then iterates on grad log phi(h) = target with steps
     of length <= 1, halved until the convex objective log phi(h) - h.target
     decreases by the Armijo fraction.  An interior target it cannot reach to
-    ``tol`` (|h| beyond 1e3, or no descent left) is a ``NumericError``.
+    ``TILT_TOL`` in ``TILT_MAX_ITER`` steps (a singular Hessian, or no
+    descent left) is a ``NumericError``.
     """
     lattice_decompose(sd)
     shown = (float(target_mu[0]), float(target_mu[1]))
@@ -354,12 +362,14 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
     h = np.zeros(2)
     logphi, grad, hess = _grad_hess_logphi(sd, h)
     res = float(np.linalg.norm(grad - target))
-    for _ in range(max_iter):
-        if res <= tol:
+    for _ in range(TILT_MAX_ITER):
+        if res <= TILT_TOL:
             break
-        delta = np.linalg.solve(hess, target - grad)
-        # a full Newton step from far away can land where the tilted law
-        # sits on one atom and the Hessian is numerically singular
+        try:
+            delta = np.linalg.solve(hess, target - grad)
+        except np.linalg.LinAlgError:  # the tilted law sits on one atom
+            break
+        # a long Newton step can land where the Hessian is nearly singular
         delta /= max(1.0, float(np.linalg.norm(delta)))
         f = logphi - h @ target
         slope = float((grad - target) @ delta)
@@ -369,18 +379,19 @@ def solve_drift(sd: StepDistribution, target_mu, tol: float = 1e-13,
             logphi_new, grad_new, hess_new = _grad_hess_logphi(sd, h_new)
             res_new = float(np.linalg.norm(grad_new - target))
             if (logphi_new - h_new @ target <= f + 1e-4 * step * slope
-                    or res_new <= tol):
+                    or res_new <= TILT_TOL):
                 break
             step *= 0.5
         else:
             break  # no descent left at this precision
         h, logphi, grad, hess, res = h_new, logphi_new, grad_new, hess_new, res_new
-        if np.linalg.norm(h) > 1e3:
-            raise NumericError(f"target drift {shown}: |h| diverged", residual=res)
-    if res > tol:
+    # the law that tilt builds rounds apart from the log-sum-exp mean above
+    tilted, tp = tilt(sd, h)
+    res = math.dist(compute_moments(tilted).mu, shown)
+    if res > TILT_TOL:
         raise NumericError(f"target drift {shown} not reached: residual {res:.3e}",
                            residual=res)
-    return tilt(sd, h)[1]
+    return tp
 
 
 def _stride(atoms) -> tuple[int, ...]:
@@ -453,6 +464,12 @@ def load_steps(path) -> StepDistribution:
     return validate_steps(raw)
 
 
+def _check_size(size: int, what: str) -> None:
+    """Raise ``InputError`` if ``what`` of ``size`` entries is above ``MAX_CELLS``."""
+    if size > MAX_CELLS:
+        raise InputError(f"{what} of {size} entries is above the cap of {MAX_CELLS}")
+
+
 class _Buffers:
     """Flat arrays one run of ``_kill_step`` reuses from step to step.
 
@@ -466,11 +483,9 @@ class _Buffers:
     Buffers a run keeps are built with ``mapped=True``: each float slot is
     then an anonymous memory map, whose pages become resident only when a
     step first writes them, and a slot that grows returns its old pages at
-    once.  Slots taken from glibc malloc left a hole in its heap at each
-    growth: three exact runs to n = 1024 on the tilted law in one process
-    peaked 1.2-1.4 MB higher in resident memory than with maps.  Buffers
-    for one step take plain ``np.empty`` slots: a map per slot per step
-    made a chain of 1024 such steps 2.5 times slower, from page faults.
+    once, where a slot from malloc would leave a hole in its heap.  Buffers
+    for one step take plain ``np.empty`` slots, since a map per slot per
+    step costs page faults.  No slot grows past ``MAX_CELLS`` entries.
     """
 
     __slots__ = ("dtype", "mapped", "slots")
@@ -483,6 +498,7 @@ class _Buffers:
     def take(self, k: int, size: int) -> np.ndarray:
         buf = self.slots[k]
         if buf.size < size:
+            _check_size(size, "a kernel buffer")
             buf = self.slots[k] = self._new(max(size, buf.size + buf.size // 2))
         return buf[:size]
 
@@ -555,6 +571,7 @@ def _step_plan(atoms: tuple, stride: tuple, nd: int):
     moves = tuple((at[nd], *o) for at, *o in zip(atoms, *offs))
     dense = None
     if nd == 1:
+        _check_size(max(offs[0]) + 1, "a line kernel")
         dense = np.zeros(max(offs[0]) + 1)
         for p, i in moves:
             dense[i] += p

@@ -129,7 +129,7 @@ def test_criterion_03_ladder_renewal(tilted):
 
 
 def test_criterion_04_convention_resolution(tilted):
-    rep = resolve_convention(tilted, xmax=50, tol=1e-9)  # raises unless exactly one
+    rep = resolve_convention(tilted)  # raises unless exactly one
     assert rep.max_residual_selected <= 1e-9
     assert rep.max_residual_rejected > 1e-9
     assert rep.selected is BoundaryConvention.KILL_ON_NEGATIVE

@@ -1,21 +1,27 @@
 """CLI: thin-adapter byte identity, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadwalk import pipeline, singular_steps, solve_drift, validate_steps
+from quadwalk import ladders, pipeline, singular_steps, solve_drift, validate_steps
 from quadwalk.cli import main
-from quadwalk.dp import ExitSpec, count_paths, survival_prob
+from quadwalk.dp import ExitSpec, count_paths, local_prob, survival_prob
 from quadwalk.errors import DegenerateSupportError
 from quadwalk.ladders import CrossingSolver
 from quadwalk.montecarlo import simulate_survival
 from quadwalk.pipeline import ConditionedWalkPipeline
+from quadwalk.steps import MAX_CELLS
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +69,17 @@ def test_counts_honour_region(capsys, steps_file, region, count, line):
 
 
 def test_tilt_solve_golden(capsys, steps_file):
-    code, out, _ = run_cli(capsys, "--steps", steps_file, "tilt", "solve",
-                           "--drift", "0.5,0")
-    assert code == 0
-    header, row = out.strip().splitlines()
-    assert header == "h1,h2,phi"
-    tp = solve_drift(singular_steps(), (0.5, 0.0))
-    assert row == f"{tp.h[0]!r},{tp.h[1]!r},{tp.phi!r}"
-    assert float(row.split(",")[1]) == pytest.approx(-0.5 * math.log(2), abs=1e-12)
+    for verbose in ([], ["--verbose"]):
+        code, out, err = run_cli(capsys, "--steps", steps_file, *verbose,
+                                 "tilt", "solve", "--drift", "0.5,0")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "h1,h2,phi"
+        tp = solve_drift(singular_steps(), (0.5, 0.0))
+        assert row == f"{tp.h[0]!r},{tp.h[1]!r},{tp.phi!r}"
+        assert float(row.split(",")[1]) == pytest.approx(-0.5 * math.log(2),
+                                                         abs=1e-12)
+        assert ("tilted atoms: ((" in err) == bool(verbose)
 
 
 def test_dp_survive_byte_identity(capsys, tilted_file):
@@ -80,6 +89,19 @@ def test_dp_survive_byte_identity(capsys, tilted_file):
     sd = validate_steps([((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)])
     p, err = survival_prob(sd, (1, 1), 50, ExitSpec(), barrier="auto")
     assert out.strip().splitlines()[1] == f"50,{p!r},{err!r}"
+    code, out, _ = run_cli(capsys, "--steps", tilted_file, "dp", "local",
+                           "--x", "1,1", "--y", "11,1", "--n", "20")
+    assert code == 0
+    p = local_prob(sd, (1, 1), (11, 1), 20, ExitSpec())
+    assert out.strip().splitlines() == ["n,probability", f"20,{p!r}"]
+
+
+@pytest.mark.parametrize("what", ["local", "count"])
+def test_dp_needs_y_exit_3(capsys, tilted_file, what):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "dp", what,
+                             "--x", "1,1", "--n", "4")
+    assert (code, out) == (3, "")
+    assert f"dp {what} needs --y" in err
 
 
 def test_mc_byte_identity(capsys, tilted_file):
@@ -153,20 +175,23 @@ def test_renewal_csv(capsys, tilted_file):
 
 
 def test_ladders_output(capsys, tilted_file):
-    code, out, err = run_cli(capsys, "--steps", tilted_file, "ladders",
-                             "--dir", "down")
-    assert code == 0
-    assert out.splitlines()[0] == "value,prob"
-    assert "mean=" in err
+    for direction in ("down", "up"):
+        code, out, err = run_cli(capsys, "--steps", tilted_file, "ladders",
+                                 "--dir", direction)
+        assert code == 0
+        assert out.splitlines()[0] == "value,prob"
+        assert "mean=" in err
+    assert out.splitlines()[1:] == ["1,1.0"]  # the up-steps are +1 only
 
 
 def test_json_format_has_schema_version(capsys, tilted_file):
-    code, out, _ = run_cli(capsys, "--steps", tilted_file, "--format", "json",
-                           "model", "moments")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["schema_version"] == "1"
-    assert obj["result"][0]["mu1"] == 0.5
+    for what, key, value in (("moments", "mu1", 0.5), ("lattice", "d1", 2)):
+        code, out, _ = run_cli(capsys, "--steps", tilted_file, "--format",
+                               "json", "model", what)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["schema_version"] == "1"
+        assert obj["result"][0][key] == value
 
 
 def test_verify_csv_header(capsys, tilted_file):
@@ -176,6 +201,17 @@ def test_verify_csv_header(capsys, tilted_file):
     lines = out.strip().splitlines()
     assert lines[0] == "theorem_id,n,measured,predicted,ratio,dp_error_bound"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("theorem, note", [
+    ("line", "height 1 unreachable"), ("boundary-llt", "no lattice point at height 1")])
+def test_verify_notes_unreachable_heights(capsys, tilted_file, theorem, note):
+    # dy = +-1: from x2 = 1 the height 1 is reached at even n only
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "verify", theorem,
+                             "--n-schedule", "16,17")
+    assert code == 0
+    assert [r.split(",")[1] for r in out.strip().splitlines()[1:]] == ["16"]
+    assert err == f"note: n=17: {note}; skipped\n"
 
 
 def test_verify_qbar(capsys, steps_file):
@@ -410,6 +446,15 @@ def test_numeric_failure_exit_4_with_partial(capsys, monkeypatch, tilted_file):
     assert "partial" in obj
 
 
+def test_convention_error_exit_3(capsys, monkeypatch, tilted_file):
+    # with every residual 0 both kill rules pass, which is a ConventionError
+    monkeypatch.setattr(ladders, "harmonicity_residual", lambda *a: 0.0)
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "harmonic-w",
+                             "--x", "1,1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: expected exactly one passing convention")
+
+
 def test_tilt_solve_target_on_hull_edge_exit_3(capsys, tmp_path):
     # (0.5, 0) is the midpoint of the hull edge (0,-1)-(1,1): no tilt reaches it
     path = tmp_path / "edge.json"
@@ -437,9 +482,139 @@ def test_harmonic_w_unmet_tol_exit_4_with_partial(capsys, monkeypatch, tilted_fi
                                   "n_used": 64}
 
 
+@pytest.mark.parametrize("steps, argv", [
+    # a step of 1e11 columns: the 2-D box would span 1e11 cells
+    ([(10 ** 11, 1, 1), (1, -1, 1), (-1, 1, 1)], ("dp", "survive", "--x", "1,1", "--n", "5")),
+    ([(10 ** 11, 1, 1), (1, -1, 1), (-1, 1, 1)], ("dp", "line", "--x", "1,1", "--n", "5")),
+    ([(10 ** 11, 1, 1), (1, -1, 1), (-1, 1, 1)],
+     ("dp", "count", "--x", "1,1", "--y", "2,2", "--n", "5")),
+    # driftless vertical steps 1e11 and -1: 1e11 + 2 polynomial coefficients
+    ([(1, 10 ** 11, 1), (1, -1, 10 ** 11), (-1, 0, 1)], ("ladders", "--dir", "down")),
+    ([(1, 10 ** 11, 1), (1, -1, 10 ** 11), (-1, 0, 1)], ("renewal", "--kind", "V")),
+])
+def test_size_cap_exit_3(capsys, tmp_path, steps, argv):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": dx, "dy": dy, "w": w} for dx, dy, w in steps]}))
+    code, out, err = run_cli(capsys, "--steps", str(path), *argv)
+    assert (code, out) == (3, "")
+    assert f"above the cap of {MAX_CELLS}" in err
+
+
+def test_tilt_solve_unreached_target_exit_4(capsys, tmp_path):
+    # 1e-12 inside the midpoint of the hull edge (-1,0)-(2,-2): Newton stalls
+    # at a residual of 2.8e-13, above its 1e-13
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": dx, "dy": dy, "w": w}
+        for dx, dy, w in ((-1, 0, 4), (2, -2, 4), (1, -1, 3), (2, 2, 4))]}))
+    code, out, err = run_cli(capsys, "--steps", str(path), "tilt", "solve",
+                             "--drift", "0.5000000000000006,-0.999999999999999")
+    assert (code, out) == (4, "")
+    assert "numeric failure: target drift" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_harmonic_w_nonpositive_tol_exit_3(capsys, tilted_file, tol):
     code, out, err = run_cli(capsys, "--steps", tilted_file, "harmonic-w",
                              "--x", "1,1", "--tol", tol)
     assert (code, out) == (3, "")
     assert "--tol must be positive" in err
+
+
+# -- fuzz: every subcommand on valid and malformed input ----------------------
+
+TILTED = [{"dx": 1, "dy": -1, "w": 2}, {"dx": 1, "dy": 1, "w": 1},
+          {"dx": -1, "dy": 1, "w": 1}]
+WGRID = [{"dx": 2, "dy": -2, "w": 1}, {"dx": 1, "dy": 1, "w": 1},
+         {"dx": -1, "dy": 1, "w": 1}, {"dx": 1, "dy": 0, "w": 1}]
+INCREMENTS = st.one_of(st.integers(-2, 2), st.sampled_from([10 ** 11, -10 ** 11]))
+RANDOM_LAWS = st.lists(st.fixed_dictionaries(
+    {"dx": INCREMENTS, "dy": INCREMENTS, "w": st.integers(1, 4)}),
+    min_size=1, max_size=5)
+# the law as it is, or broken in one place
+AS_IS = st.just(lambda steps: {"steps": steps})
+FAULTS = [
+    lambda steps: steps,
+    lambda steps: "steps",
+    lambda steps: {"steps": [{"dx": 1, "dy": 1}] + steps},
+    *(lambda steps, w=w: {"steps": [dict(steps[0], w=w)] + steps[1:]}
+      for w in (math.nan, math.inf, True, "1")),
+    *(lambda steps, d=d: {"steps": [dict(steps[0], dy=d)] + steps[1:]}
+      for d in (1.5, 1e11)),
+]
+# columns that hold a probability or a bound, finite on success
+FINITE = {"probability", "error_bound", "dp_error_bound", "measured", "prob",
+          "mean", "half_width_95", "lower", "upper"}
+
+
+def _point(lo=-1, hi=4):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+        lambda p: f"--x={p[0]},{p[1]}")
+
+
+def _n():
+    return st.integers(-2, 64).map(lambda n: f"--n={n}")
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just("model"), st.sampled_from(["moments", "lattice"])),
+    st.tuples(st.just("tilt"), st.just("solve"),
+              st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)).map(
+                  lambda d: f"--drift={d[0]!r},{d[1]!r}")),
+    st.tuples(st.just("ladders"), st.just("--dir"), st.sampled_from(["down", "up"])),
+    st.tuples(st.just("renewal"), st.just("--kind"), st.sampled_from(["V", "H"]),
+              st.integers(-2, 64).map(lambda u: f"--max-u={u}")),
+    st.tuples(st.just("harmonic-w"), _point(),
+              st.sampled_from(["1e-3", "1e-6", "0", "-1", "nan"]).map(
+                  lambda t: f"--tol={t}")),
+    st.tuples(st.just("dp"), st.sampled_from(["survive", "local", "count", "line"]),
+              _point(), _n(), st.sampled_from([[], ["--y=3,1"], ["--y=2,-1"]]),
+              st.sampled_from(["quadrant", "upper-half", "right-half"]).map(
+                  lambda r: f"--region={r}")),
+    st.tuples(st.just("mc"), st.just("survive"), _point(), _n(),
+              st.integers(0, 1000).map(lambda r: f"--reps={r}")),
+    st.tuples(st.just("verify"),
+              st.sampled_from(["tail", "integral", "llt", "llt-half",
+                               "boundary-llt", "line", "qbar", "kernel"]),
+              _point(1, 3),
+              st.lists(st.integers(-2, 64), max_size=3).map(
+                  lambda ns: "--n-schedule=" + ",".join(map(str, ns)))),
+)
+
+
+def _flat(parts):
+    return [a for p in parts for a in (p if isinstance(p, list) else [p])]
+
+
+def _rows(out, fmt):
+    if fmt == "json":
+        return json.loads(out)["result"]
+    lines = out.splitlines()
+    if len(lines) < 2:  # a bare count
+        return []
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+@given(st.one_of(st.sampled_from([TILTED, WGRID]), RANDOM_LAWS),
+       AS_IS | st.sampled_from(FAULTS), st.sampled_from(["csv", "json"]),
+       st.sampled_from(["nonpositive", "negative"]),
+       st.sampled_from(["auto", "0", "6"]), COMMANDS)
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, steps, fault, fmt, conv,
+                                barrier, command):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(fault(steps)))
+    argv = ["--steps", str(path), "--format", fmt, "--convention", conv,
+            "--barrier", barrier, *_flat(command)]
+    out, err = io.StringIO(), io.StringIO()
+    # a short W horizon keeps each example cheap
+    with patch.object(pipeline, "N_MAX", 64), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for row in _rows(out.getvalue(), fmt):
+            for col in FINITE & row.keys():
+                assert math.isfinite(float(row[col])), (argv, row)

@@ -289,8 +289,8 @@ def test_emptied_box_stays_on_its_coset():
         assert col @ v[lo:lo + d * len(col):d] == pytest.approx(want, rel=1e-14)
     tb = make_tail_bound(sd, 1.0)
     # tol=0 runs every checkpoint up to n_max; L = 25 is out of reach in 7 steps
-    exact = w_rect(sd, (1, 1), spec, v, tb, 0.0, 7, 25)[(1, 1)]
-    barred = w_rect(sd, (1, 1), spec, v, tb, 0.0, 7, 4)[(1, 1)]
+    exact, barred = (w_rect(sd, (1, 1), spec, lambda m: v[:m + 1], tb, 0.0, 7,
+                            L, (1, 1))[(1, 1)] for L in (25, 4))
     assert [n for n, _ in barred.history] == [0, 1, 2, 4, 7]
     assert [w for _, w in barred.history] == pytest.approx(
         [w for _, w in exact.history], rel=1e-14)
@@ -548,7 +548,8 @@ def _check_w_rect(sd, spec, x, n, L, v, oracle_barrier):
     """Every start of x's rectangle, at every checkpoint, against enumeration."""
     t = spec.threshold
     # no width is below a negative tol: every checkpoint up to n_max = n runs
-    rect = w_rect(sd, x, spec, v, make_tail_bound(sd, 1.0), -1.0, n, L)
+    rect = w_rect(sd, x, spec, lambda m: v[:m + 1], make_tail_bound(sd, 1.0),
+                  -1.0, n, L, x)
     assert set(rect) == {(y1, y2) for y1 in range(x[0], L - sd.max_abs_dx + 1)
                          for y2 in range(t, x[1] + 1)}
     ns = sorted({0, n} | {2 ** k for k in range(n.bit_length())})

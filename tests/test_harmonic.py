@@ -33,16 +33,20 @@ def pipe():
     return ConditionedWalkPipeline.build(pipe_steps())
 
 
+def identity(m):
+    """The weight table u -> u on heights 0..m."""
+    return np.arange(m + 1.0)
+
+
 def w_star(p, x, tol=1e-10):
     """W with the identity weight u in place of V, by the pass ``p.w`` runs.
 
     For a walk whose vertical part is the simple symmetric one this is the
     explicit harmonic function of the counting application.
     """
-    v = np.arange(x[1] + (pipeline.N_MAX + 1) * p.sd.max_abs_dy + 1.0)
     L = auto_barrier(p.sd, x, pipeline.BARRIER_TARGET)
-    return w_rect(p.sd, x, p.spec, v, make_tail_bound(p.sd, 1.0), tol,
-                  pipeline.N_MAX, L)[x]
+    return w_rect(p.sd, x, p.spec, identity, make_tail_bound(p.sd, 1.0), tol,
+                  pipeline.N_MAX, L, x)[x]
 
 
 class TestSeries:
@@ -72,9 +76,8 @@ class TestSeries:
         # every step moves left from x1=1: horizontal kill is immediate
         sd = validate_steps([((-1, 1), 1.0), ((-1, -1), 1.0)])
         spec = ExitSpec()
-        v = np.arange(64.0)
         tb = make_tail_bound(sd, 1.0)
-        est = w_rect(sd, (1, 5), spec, v, tb, 1e-10, 4, 2)[(1, 5)]
+        est = w_rect(sd, (1, 5), spec, identity, tb, 1e-10, 4, 2, (1, 5))[(1, 5)]
         assert est.upper == 0.0
         assert est.value == 0.0
 
@@ -125,6 +128,29 @@ class TestSeries:
         for y in [(y1, y2) for y1 in range(1, 5) for y2 in range(1, 5)]:
             fresh = ConditionedWalkPipeline.build(sd).w(y)
             assert repr(used.w(y)) == repr(fresh)
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_grid_builds_a_short_v_table(self, monkeypatch, seed):
+        # a w-grid round: the 8 x 8 grid, its neighbours and one far start;
+        # each pass asks for the heights it reads, not for N_MAX steps
+        sizes = []
+        real = ladders.renewal_V
+        monkeypatch.setattr(ladders, "renewal_V",
+                            lambda ld, U: sizes.append(U) or real(ld, U))
+        sd = validate_steps([((2, -2), 1), ((1, 1), 1), ((-1, 1), 1), ((1, 0), 1)])
+        p = ConditionedWalkPipeline.build(sd)
+        cols = list(range(1, 9))
+        if seed is not None:
+            random.Random(seed).shuffle(cols)
+        grid = [(x1, x2) for x1 in cols for x2 in range(1, 9)]
+        for x1, x2 in grid:
+            p.w((x1, x2))
+        for x1, x2 in grid:
+            for dx, dy, _ in sd.atoms:
+                if x1 + dx >= 1 and x2 + dy >= 1:
+                    p.w((x1 + dx, x2 + dy))
+        p.w((100, 8))
+        assert max(sizes) <= 1024
 
     @pytest.mark.parametrize("steps", [pipe_steps, down_jump_steps])
     def test_filled_estimate_equals_first_query(self, steps):
@@ -256,9 +282,9 @@ class TestWStar:
         # no step decreases x1, so the horizontal exit never happens and the
         # linear-weight series is the constant martingale value x2
         sd = validate_steps([((1, -1), 1.0), ((1, 1), 1.0)])
-        v = np.arange(600.0)
         tb = make_tail_bound(sd, 1.0)
-        est = w_rect(sd, (3, 5), ExitSpec(), v, tb, 1e-10, 256, 4)[(3, 5)]
+        est = w_rect(sd, (3, 5), ExitSpec(), identity, tb, 1e-10, 256, 4,
+                     (3, 5))[(3, 5)]
         assert est.value == pytest.approx(5.0, abs=1e-10)
         assert est.width <= 1e-9
 

@@ -23,9 +23,10 @@ from quadwalk.errors import (
     InfeasibleDriftError,
     InputError,
     NegativeWeightError,
+    NumericError,
     ZeroTotalWeightError,
 )
-from quadwalk.steps import _Buffers, _kill_step, _line_steps, _trim
+from quadwalk.steps import TILT_TOL, _Buffers, _kill_step, _line_steps, _trim
 
 from oracles import convolve_atoms, lattice_index, trim_slabs
 
@@ -390,6 +391,54 @@ def test_solve_drift_refuses_targets_on_or_outside_the_hull(sd, pick, eighths, o
     target = (a[0] + u * e1 + out * e2, a[1] + u * e2 - out * e1)
     with pytest.raises(InfeasibleDriftError, match="nearest edge"):
         solve_drift(sd, target)
+
+
+def _reached_or_numeric_error(sd, target):
+    """``solve_drift`` meets TILT_TOL or raises NumericError; True if it met it."""
+    try:
+        tp = solve_drift(sd, target)
+    except NumericError:
+        return False
+    mu = compute_moments(tilt(sd, tp.h)[0]).mu
+    assert math.hypot(mu[0] - target[0], mu[1] - target[1]) <= TILT_TOL
+    return True
+
+
+@pytest.mark.parametrize("law, target, reached", [
+    # Armijo halves the step, then Newton converges
+    ([((-2, -2), 2), ((-2, -1), 3), ((-1, 2), 1), ((1, -1), 3)],
+     (-1.2499999999999998, 1.2499999999999982), True),
+    # 1e-12 inside the midpoint of the edge (-1,0)-(2,-2): every full step
+    # passes Armijo, and the residual stays at 2.8e-13 for all 100 steps
+    ([((-1, 0), 4), ((2, -2), 4), ((1, -1), 3), ((2, 2), 4)],
+     (0.5000000000000006, -0.999999999999999), False),
+    # Armijo halves the step, and the residual stalls at 1.2e-13
+    ([((-3, -3), 1e-06), ((0, -2), 3), ((1, 0), 2), ((3, 3), 4)],
+     (2.99999999999997, 2.999999999999963), False),
+    # near the vertex (-2, 2) the tilted law sits on one atom: the Hessian
+    # is singular in floats
+    ([((-3, -2), 1), ((-2, 2), 3), ((-1, 1), 3), ((0, -3), 1), ((0, 0), 3),
+      ((3, 0), 4)], (-1.9999999999985, 1.99999999999725), False),
+])
+def test_solve_drift_near_the_hull(law, target, reached):
+    assert _reached_or_numeric_error(validate_steps(law), target) is reached
+
+
+@given(step_sets(), st.integers(0, 99), st.integers(1, 7),
+       st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12, 1e-15]))
+@settings(max_examples=60, deadline=None)
+def test_solve_drift_near_an_edge_reaches_tol_or_raises(sd, pick, eighths, eps):
+    # a point of a boundary segment, moved eps along its inner normal
+    assume(lattice_index(_diffs(sd)))
+    segments = _boundary_segments([at[:2] for at in sd.atoms])
+    a, b = segments[pick % len(segments)]
+    e1, e2 = b[0] - a[0], b[1] - a[1]
+    u = eighths / 8
+    target = (a[0] + u * e1 - eps * e2, a[1] + u * e2 + eps * e1)
+    try:
+        _reached_or_numeric_error(sd, target)
+    except InfeasibleDriftError:  # rounded onto the edge
+        assume(False)
 
 
 # -- the propagation kernel against its references ----------------------------
