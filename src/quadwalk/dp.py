@@ -9,15 +9,19 @@ at a time by the package's 2-D propagation kernel, ``steps._kill_step``;
 mass landing outside the survival region is removed and accounted.
 
 The kernel lays the box out in rows of the grown box's width, so each atom
-adds one contiguous run of a flat array.  A ``run_dp`` chain carries one
-``steps._Buffers`` in its measures and steps in it: the padded input, the
-output box and a scratch, grown geometrically and never freed between
-steps.  A chain's box is thus a view the next step overwrites, so
-``run_dp`` copies each snapshot out, except the last, which keeps its
-buffer.  Every array that is summed, a snapshot copy included, keeps the
-shape and strides a fresh step gives it: numpy sums a strided box row by
-row and a contiguous one as one flat run, and the two round differently.
-The values are those of fresh arrays, bit for bit.
+adds one contiguous run of a flat array.  ``run_dp`` steps a run as one
+loop (``_step_to``) that carries the box, its lo, the leaked line and the
+killed, dropped and leaked mass from step to step, looks the law's step
+plan up once and builds a ``QuadrantMeasure`` only at the snapshots;
+``step_measure`` is one step of that loop.  The loop steps in one
+``steps._Buffers``: the padded input, the output box and a scratch,
+grown geometrically and never freed between steps.  A run's box is thus
+a view the next step overwrites, so ``run_dp`` copies each snapshot out,
+except the last, which keeps its buffer.  Every array that is summed, a
+snapshot copy included, keeps the shape and strides a fresh step gives
+it: numpy sums a strided box row by row and a contiguous one as one flat
+run, and the two round differently.  The values are those of fresh
+arrays, bit for bit.
 
 Each step may also peel whole edge rows and columns off the box, lightest
 first, while the mass peeled in that step stays within ``PRUNE_BUDGET``
@@ -33,10 +37,10 @@ one.  The leaked measure lies on the same vertical coset, and it steps by
 ``steps._line_steps``, its ends peeled from what the 2-D box left of the
 step's budget.  No mass re-enters the box, so once every cell has crossed
 or been killed the box is empty, shape (0, 0), and only the line moves.
-``run_dp`` then steps the line as one chain up to the next snapshot, each
-step with the whole budget as ``step_measure`` would give it, and builds a
-measure only at the snapshots; once the line is empty too it goes straight
-to the next snapshot.  On the tilted law from (1, 1) the box is empty
+The loop then steps the line as one ``_line_steps`` chain up to the next
+snapshot, each step with the whole budget, since an empty box peels
+nothing; once the line is empty too it goes straight to the next
+snapshot.  On the tilted law from (1, 1) the box is empty
 from n = 540 on, so this is most of a long tail run.  The barrier error
 is bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1))
 on the walk ever returning, gamma the positive root of
@@ -64,9 +68,9 @@ import numpy as np
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
 from .steps import (StepDistribution, _Buffers, _kill_step, _line_steps,
-                    _stride, _trim, compute_moments)
+                    _step_plan, _stride, _trim, compute_moments)
 
-# Mass that ``step_measure`` may peel off the edges of a measure per step,
+# Mass that a DP step may peel off the edges of a measure,
 # shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
 PRUNE_BUDGET = 1e-33
 
@@ -167,9 +171,6 @@ class QuadrantMeasure:
     dropped_mass: float = 0.0
     leaked_total: float = 0.0
     gamma: float = math.inf  # Chernoff rate for the barrier bound
-    # buffers of the run stepping this measure; its cells may be views of
-    # them, overwritten by the next step_measure
-    _work: _Buffers | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None,
@@ -312,55 +313,69 @@ def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     """One convolution-and-kill step; returns a fresh measure.
 
     The point mass at n = 0 takes the stride of ``sd``; every later
-    measure keeps its own, which must be that of the same law.  A measure
-    of a ``run_dp`` chain passes its run's buffers on, and the box of the
-    measure returned lives in them; any other gets fresh arrays.
+    measure keeps its own, which must be that of the same law.  This is
+    one step of the loop ``run_dp`` steps a run by, on fresh arrays.
     """
     if m.barrier is not None and m.barrier < sd.max_abs_dx:
         raise BarrierError(
             f"barrier {m.barrier} smaller than max |dx| {sd.max_abs_dx}"
         )
-    kill = m.spec.kill
+    return _step_to(m, sd, m.n + 1)
+
+
+def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
+             work: _Buffers | None = None) -> QuadrantMeasure:
+    """``m`` stepped on to time n, one convolution-and-kill step at a time.
+
+    The loop carries the box, its lo, the leaked line and the killed,
+    dropped and leaked mass, and builds a measure only at the end.  Steps
+    run in ``work``, the buffers of a ``run_dp`` run, so the box returned
+    may be a view of them; without it each step has fresh arrays.  Once
+    the box is empty only the line moves: the rest of the steps are one
+    ``_line_steps`` chain, each step with the whole budget.
+    """
+    kill, L, line_atoms = m.spec.kill, m.barrier, sd.vertical_atoms
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
-    # each trim gets what the ones before it left of this step's budget
-    killed, dropped, budget = m.killed_mass, m.dropped_mass, PRUNE_BUDGET
-    new, lo1, lo2 = m.cells, m.lo1, m.lo2
-    if new.size:
-        new, (lo1, lo2), cuts, drop = _kill_step(new, (lo1, lo2), sd.atoms,
-                                                 kill, stride, budget, m._work)
+    plan = _step_plan(sd.atoms, stride, 2)
+    t, cells, lo1, lo2 = m.n, m.cells, m.lo1, m.lo2
+    leaked, leak_lo, leaked_total = m.leaked, m.leak_lo, m.leaked_total
+    killed, dropped = m.killed_mass, m.dropped_mass
+    while t < n and cells.size:
+        t += 1
+        # each trim gets what the ones before it left of this step's budget
+        cells, (lo1, lo2), cuts, drop = _kill_step(cells, (lo1, lo2), plan, kill,
+                                                   PRUNE_BUDGET, work)
         for cut in cuts:
-            killed += float(cut.sum())
-        budget -= float(drop)
+            if cut.size:  # an empty cut adds 0.0, which changes nothing
+                killed += float(cut.sum())
+        budget = PRUNE_BUDGET - float(drop)
         dropped += float(drop)
-
-    # evolve any previously leaked mass (vertical kill only)
-    leaked, leak_lo = m.leaked, m.leak_lo
-    leaked_total = m.leaked_total
-    if leaked.size:
-        leaked, leak_lo, killed, dropped, budget = _line_steps(
-            leaked, leak_lo, sd.vertical_atoms, kill[1], d2, 1, budget,
+        # evolve any previously leaked mass (vertical kill only)
+        if leaked.size:
+            leaked, leak_lo, killed, dropped, budget = _line_steps(
+                leaked, leak_lo, line_atoms, kill[1], d2, 1, budget, killed, dropped)
+        # migrate mass beyond the barrier into the vertical-only measure
+        if (L is not None and cells.size
+                and lo1 + d1 * (cells.shape[0] - 1) > L):
+            keep = max((L - lo1) // d1 + 1, 0)
+            spill = cells[keep:, :].sum(axis=0)
+            amt = float(spill.sum())
+            if amt > 0:
+                leaked_total += amt
+                lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
+                leaked, (leak_lo,), drop = _trim(out, (lo,), budget, (d2,))
+                dropped += float(drop)
+            # an emptied box keeps no columns: their zero sums would join
+            # the line at a stale lo2
+            cells = cells[:keep, :] if keep else np.zeros((0, 0))
+    if t < n and leaked.size:
+        leaked, leak_lo, killed, dropped, _ = _line_steps(
+            leaked, leak_lo, line_atoms, kill[1], d2, n - t, PRUNE_BUDGET,
             killed, dropped)
-
-    # migrate mass beyond the barrier into the vertical-only measure
-    if (m.barrier is not None and new.size
-            and lo1 + d1 * (new.shape[0] - 1) > m.barrier):
-        keep = max((m.barrier - lo1) // d1 + 1, 0)
-        spill = new[keep:, :].sum(axis=0)
-        amt = float(spill.sum())
-        if amt > 0:
-            leaked_total += amt
-            lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
-            leaked, (leak_lo,), drop = _trim(out, (lo,), budget, (d2,))
-            dropped += float(drop)
-        # an emptied box keeps no columns: their zero sums would join the
-        # line at a stale lo2
-        new = new[:keep, :] if keep else np.zeros((0, 0))
     return QuadrantMeasure(
-        n=m.n + 1, cells=new, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
-        barrier=m.barrier, leaked=leaked, leak_lo=leak_lo,
-        killed_mass=killed, dropped_mass=dropped,
-        leaked_total=leaked_total, gamma=m.gamma, _work=m._work,
-    )
+        n=n, cells=cells, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
+        barrier=L, leaked=leaked, leak_lo=leak_lo, killed_mass=killed,
+        dropped_mass=dropped, leaked_total=leaked_total, gamma=m.gamma)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -403,34 +418,15 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     out: dict[int, QuadrantMeasure] = {}
     if 0 in want:
         out[0] = m
-    m = replace(m, _work=_Buffers(mapped=True))
+    work = _Buffers(mapped=True)
     stops = sorted(t for t in want if 0 < t <= n_max)
     for stop in stops:
-        while m.n < stop and m.cells.size:
-            m = step_measure(m, sd)
-        if m.n < stop:
-            m = _line_only(m, sd, stop)
+        m = _step_to(m, sd, stop, work)
         # the next step overwrites the buffers; the last box is kept
-        cells = m.cells if stop == stops[-1] else _owned(m.cells)
-        out[m.n] = replace(m, cells=cells, _work=None)
+        if stop != stops[-1]:
+            m = replace(m, cells=_owned(m.cells))
+        out[stop] = m
     return out
-
-
-def _line_only(m: QuadrantMeasure, sd: StepDistribution, n: int) -> QuadrantMeasure:
-    """``m``, whose box is empty, stepped on to time n.
-
-    No mass re-enters an empty box, so only the leaked line moves: one
-    ``_line_steps`` chain with ``step_measure``'s per-step budget, which
-    adds to the killed and dropped mass step by step as ``step_measure``
-    would, and builds no measure per step.
-    """
-    if not m.leaked.size:
-        return replace(m, n=n)
-    leaked, leak_lo, killed, dropped, _ = _line_steps(
-        m.leaked, m.leak_lo, sd.vertical_atoms, m.spec.kill[1], m.stride[1],
-        n - m.n, PRUNE_BUDGET, m.killed_mass, m.dropped_mass)
-    return replace(m, n=n, leaked=leaked, leak_lo=leak_lo,
-                   killed_mass=killed, dropped_mass=dropped)
 
 
 def survival_prob(sd: StepDistribution, x, n: int, spec: ExitSpec,
@@ -476,9 +472,10 @@ def _count_run(sd: StepDistribution, x, n: int, spec: ExitSpec = ExitSpec()):
         raise InputError(f"start {x} is not inside the survival region")
     atoms = tuple((dx, dy, 1) for dx, dy, _ in sd.atoms)
     stride = _stride(atoms)
+    plan = _step_plan(atoms, stride, 2)
     counts, work = np.ones((1, 1), dtype=object), _Buffers(object)
     for _ in range(n):
-        counts, lo, _, _ = _kill_step(counts, lo, atoms, spec.kill, stride, 0, work)
+        counts, lo, _, _ = _kill_step(counts, lo, plan, spec.kill, 0, work)
         if not counts.size:
             break
     return counts, lo, stride

@@ -24,12 +24,14 @@ The kernels run tens of thousands of steps in a long run, so they keep
 their per-step Python work small.  ``_step_plan`` derives what a law's
 atoms mean for a measure (least shifts, cell offsets, the off-lattice
 check, the dense 1-D convolution kernel) once per (atoms, stride, ndim)
-and caches it.  In ``_kill_step`` each atom's box is one contiguous run
-of the flat output, and a caller stepping one measure many times passes a
+and caches it; a chain looks its plan up once and hands it to every
+``_kill_step``.  There each atom's box is one contiguous run of the flat
+output, and a caller stepping one measure many times passes a
 ``_Buffers`` that keeps the step's arrays, so no box is allocated per
-step.  ``_line_steps`` runs its whole chain in one call: a step is one
-``np.convolve``, a kill slice and a walk inward from the two ends, and no
-per-step object is built.
+step.  ``_trim`` sums the four edge slabs of the box once and, after each
+peel, only the slabs that peel changed.  ``_line_steps`` runs its whole
+chain in one call: a step is one ``np.convolve``, a kill slice and a walk
+inward from the two ends, and no per-step object is built.
 """
 
 from __future__ import annotations
@@ -258,10 +260,19 @@ def compute_moments(sd: StepDistribution) -> Moments:
 
 
 def tilt(sd: StepDistribution, h) -> tuple[StepDistribution, TiltParams]:
-    """Exponentially tilt the law: weights scaled by exp(h.step)/phi(h)."""
+    """Exponentially tilt the law: weights scaled by exp(h.step)/phi(h).
+
+    A tilt whose phi(h) overflows a float or underflows to 0 (every
+    exp(h.step) out of range) raises ``NumericError``.
+    """
     h1, h2 = float(h[0]), float(h[1])
-    weights = [w * math.exp(h1 * dx + h2 * dy) for dx, dy, w in sd.atoms]
-    phi = math.fsum(weights)
+    try:
+        weights = [w * math.exp(h1 * dx + h2 * dy) for dx, dy, w in sd.atoms]
+        phi = math.fsum(weights)
+    except OverflowError:
+        phi = math.inf
+    if not 0 < phi < math.inf:
+        raise NumericError(f"tilt h = {(h1, h2)}: phi(h) = {phi} is out of float range")
     atoms = tuple(
         (dx, dy, wt / phi) for (dx, dy, _), wt in zip(sd.atoms, weights)
     )
@@ -518,33 +529,90 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None
     peels exact-zero edges only.  A tie peels the first of them in that
     order, so a 1-D tie peels the low end.  Returns (array, lo, dropped),
     ``dropped`` the sum of the peeled slabs in peel order.  An array peeled
-    to nothing comes back with no cells, shape (0,) * ndim.  A 2-D ``a``
-    needs ``work``: a peeled box that is not contiguous is copied into its
-    scratch slot, so it comes back contiguous.  A stepped line peels its
-    own ends (``_line_steps``); this path peels a line only where mass
-    joins it, at the barrier.
+    to nothing comes back with no cells, shape (0,) * ndim.
+
+    The four slabs are summed once; a peel then sums the slab it uncovers
+    and the two across it, which lost a cell, and keeps the sum of the
+    opposite one, the same slice as before.  A row is summed on the view
+    ``a[r0:r0 + 1, c0:c1]`` of the box left and a column on ``a[r0:r1,
+    c0:c0 + 1]``, the views a peel that sums all four slabs each round
+    would sum, so every sum and every choice is the same as there.  A 1-D
+    slab is one cell, and a one-cell sum is that cell.
+
+    A peeled box that is not contiguous is copied into the scratch slot of
+    ``work``, which a 2-D ``a`` needs, so it comes back contiguous.  A
+    stepped line peels its own ends (``_line_steps``); this path peels a
+    line only where mass joins it, at the barrier.
     """
-    span = [[0, n] for n in a.shape]
     dropped = 0
-    while all(s0 < s1 for s0, s1 in span):
-        box = [slice(s0, s1) for s0, s1 in span]
-        best = None
-        for ax, (s0, s1) in enumerate(span):
-            for side, i in ((0, s0), (1, s1 - 1)):
-                mass = a[tuple(box[:ax] + [slice(i, i + 1)] + box[ax + 1:])].sum()
-                if best is None or mass < best[0]:
-                    best = (mass, ax, side)
-        mass, ax, side = best
-        if dropped + mass > budget:
-            break
-        dropped += mass
-        span[ax][side] += 1 - 2 * side
-    if any(s0 >= s1 for s0, s1 in span):
-        return np.zeros((0,) * a.ndim, dtype=a.dtype), lo, dropped
-    if all(sp == [0, n] for sp, n in zip(span, a.shape)):
+    if not a.size:  # a kill took every row or column
+        return np.zeros((0,) * a.ndim, a.dtype), lo, dropped
+    if a.ndim == 1:
+        i0, i1 = 0, len(a)
+        first, last = a[0], a[-1]
+        while True:
+            high = last < first
+            mass = last if high else first
+            if dropped + mass > budget:
+                break
+            dropped += mass
+            if high:
+                i1 -= 1
+            else:
+                i0 += 1
+            if i0 == i1:
+                return np.zeros(0, a.dtype), lo, dropped
+            if high:
+                last = a[i1 - 1]
+            else:
+                first = a[i0]
+        box, start = (slice(i0, i1),), (i0,)
+    else:
+        add = np.add.reduce
+        r1, c1 = a.shape
+        r0 = c0 = 0
+        top, bottom = add(a[:1], None), add(a[-1:], None)
+        left, right = add(a[:, :1], None), add(a[:, -1:], None)
+        while True:
+            mass, k = top, 0
+            if bottom < mass:
+                mass, k = bottom, 1
+            if left < mass:
+                mass, k = left, 2
+            if right < mass:
+                mass, k = right, 3
+            if dropped + mass > budget:
+                break
+            dropped += mass
+            if k == 0:
+                r0 += 1
+            elif k == 1:
+                r1 -= 1
+            elif k == 2:
+                c0 += 1
+            else:
+                c1 -= 1
+            if r0 == r1 or c0 == c1:
+                return np.zeros((0, 0), a.dtype), lo, dropped
+            # sum the slab the peel uncovered and the two across it, which
+            # lost a cell; the opposite slab is the same slice as before
+            if k < 2:
+                if k:
+                    bottom = add(a[r1 - 1:r1, c0:c1], None)
+                else:
+                    top = add(a[r0:r0 + 1, c0:c1], None)
+                left, right = add(a[r0:r1, c0:c0 + 1], None), add(a[r0:r1, c1 - 1:c1], None)
+            else:
+                if k == 3:
+                    right = add(a[r0:r1, c1 - 1:c1], None)
+                else:
+                    left = add(a[r0:r1, c0:c0 + 1], None)
+                top, bottom = add(a[r0:r0 + 1, c0:c1], None), add(a[r1 - 1:r1, c0:c1], None)
+        box, start = (slice(r0, r1), slice(c0, c1)), (r0, c0)
+    kept = a[box]
+    if kept.shape == a.shape:
         return a, lo, dropped
-    lo = tuple(c + d * s0 for c, d, (s0, _) in zip(lo, stride, span))
-    kept = a[tuple(box)]
+    lo = tuple(c + d * s for c, d, s in zip(lo, stride, start))
     if kept.flags.c_contiguous:
         return kept, lo, dropped
     out = work.take(2, kept.size).reshape(kept.shape)
@@ -554,14 +622,15 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None
 
 @lru_cache(maxsize=64)
 def _step_plan(atoms: tuple, stride: tuple, nd: int):
-    """How ``_kill_step`` moves a measure by ``atoms``, derived once per law.
+    """How the kernels move a measure by ``atoms``, derived once per law.
 
-    Returns (smin, grow, moves, dense): ``smin`` the least shift on each
-    axis, ``moves`` one (p, offset, ...) per atom in atom order, an offset
-    (shift - min shift) / d cells on each axis, ``grow`` the largest offset
-    on each axis, and ``dense`` for nd = 1 the atoms summed into one
+    Returns (stride, smin, grow, moves, dense): ``smin`` the least shift on
+    each axis, ``moves`` one (p, offset, ...) per atom in atom order, an
+    offset (shift - min shift) / d cells on each axis, ``grow`` the largest
+    offset on each axis, and ``dense`` for nd = 1 the atoms summed into one
     read-only convolution kernel (else None).  A shift off its axis's class
-    modulo the stride raises ``InputError``.
+    modulo the stride raises ``InputError``.  A chain derives its plan once
+    and passes it to every step.
     """
     shifts = list(zip(*atoms))[:nd]
     smin = tuple(min(c) for c in shifts)
@@ -576,18 +645,18 @@ def _step_plan(atoms: tuple, stride: tuple, nd: int):
         for p, i in moves:
             dense[i] += p
         dense.flags.writeable = False
-    return smin, tuple(max(o) for o in offs), moves, dense
+    return stride, smin, tuple(max(o) for o in offs), moves, dense
 
 
-def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budget=0,
+def _kill_step(a: np.ndarray, lo: tuple, plan: tuple, kill, budget=0,
                work: _Buffers | None = None):
     """One step of a walk killed on leaving a box: convolve, kill, peel edges.
 
     ``a`` is a nonempty 2-D measure with ``a[i, j]`` at coordinate
     (lo1 + d1*i, lo2 + d2*j), of any dtype that adds: float64, or object
-    holding Python ints for exact path counts.  ``atoms`` is a tuple of
-    (shift1, shift2, p) tuples, all shifts of an axis in one class modulo
-    its stride (see ``_stride``); an atom moves the array by
+    holding Python ints for exact path counts.  ``plan`` is the law's
+    ``_step_plan(atoms, (d1, d2), 2)``, all shifts of an axis in one class
+    modulo its stride (see ``_stride``); an atom moves the array by
     (shift - min shift) / d cells.  ``kill[ax]`` is the lowest surviving
     coordinate on an axis, or None.  A line steps by ``_line_steps``.
 
@@ -612,18 +681,17 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budg
     and ``cuts`` may be views of ``work``'s arrays, valid until its next
     step.
     """
-    smin, grow, moves, _ = _step_plan(atoms, stride, 2)
+    stride, (s1, s2), (g1, g2), moves, _ = plan
     work = _Buffers(a.dtype) if work is None else work
     rows, n = a.shape
-    width = n + grow[1]
+    width = n + g2
     size = (rows - 1) * width + n  # extent of a laid out at that width
-    pad = work.take(0, rows * width).reshape(rows, width)
+    buf = work.take(0, rows * width)
+    pad = buf.reshape(rows, width)
     pad[:, :n] = a
     pad[:, n:] = 0
-    src = pad.reshape(-1)[:size]
-    shape = [k + g for k, g in zip(a.shape, grow)]
-    flat = work.take(1, math.prod(shape))
-    new = flat.reshape(shape)
+    src = buf[:size]
+    flat = work.take(1, (rows + g1) * width)
     for k, (p, o1, o2) in enumerate(moves):
         at = o1 * width + o2
         run = flat[at:at + size]
@@ -640,17 +708,16 @@ def _kill_step(a: np.ndarray, lo: tuple, atoms: tuple, kill, stride: tuple, budg
             run += src
         else:
             run += np.multiply(src, p, out=work.take(2, size))
-    lo = [c + s0 for c, s0 in zip(lo, smin)]
-    cuts = [None] * 2
-    for ax in (1, 0):
-        # first cell at or above kill[ax]: ceil((kill - lo) / stride)
-        k = 0 if kill[ax] is None else max(-((lo[ax] - kill[ax]) // stride[ax]), 0)
-        head = (slice(None),) * ax
-        cuts[ax] = new[head + (slice(None, k),)]
-        new = new[head + (slice(k, None),)]
-        lo[ax] += k * stride[ax]
-    new, lo, dropped = _trim(new, tuple(lo), budget, stride, work)
-    return new, lo, cuts, dropped
+    new = flat.reshape(rows + g1, width)
+    (d1, d2), (kill1, kill2) = stride, kill
+    lo1, lo2 = lo[0] + s1, lo[1] + s2
+    # first cell at or above kill: ceil((kill - lo) / stride)
+    k = 0 if kill2 is None else max(-((lo2 - kill2) // d2), 0)
+    cut2, new, lo2 = new[:, :k], new[:, k:], lo2 + k * d2
+    k = 0 if kill1 is None else max(-((lo1 - kill1) // d1), 0)
+    cut1, new, lo1 = new[:k], new[k:], lo1 + k * d1
+    new, lo, dropped = _trim(new, (lo1, lo2), budget, stride, work)
+    return new, lo, (cut1, cut2), dropped
 
 
 def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
@@ -666,15 +733,20 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
     stays <= ``budget``; it is added to ``dropped``.  Every step gets the
     whole budget, and the default 0 peels exact zeros only.  The ends are
     compared and summed as Python floats, the same doubles as numpy's.
-    Stepping stops at the first step that leaves no cells.
+    Stepping stops at the first step that leaves no cells.  A step whose
+    convolution would hold more than ``MAX_CELLS`` entries raises
+    ``InputError`` before it allocates.
 
     Returns (a, lo, killed, dropped, left): ``left`` is the budget the
     last step left, and ``a`` (shape (0,) once nothing survives) may be a
     view of a convolution output.
     """
-    (smin,), _, _, dense = _step_plan(atoms, (d,), 1)
-    left = budget
+    _, (smin,), _, _, dense = _step_plan(atoms, (d,), 1)
+    cap = MAX_CELLS - len(dense) + 1  # longest line a step may convolve
+    left, i1 = budget, len(a)
     for _ in range(steps):
+        if i1 > cap:  # then this raises
+            _check_size(i1 + len(dense) - 1, "a line step")
         a = np.convolve(a, dense)
         lo += smin
         # a step that kills nothing adds nothing: killed + 0.0 == killed
@@ -703,4 +775,5 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
             return a[:0], lo, killed, dropped, left
         a = a[i0:i1]
         lo += d * i0
+        i1 -= i0
     return a, lo, killed, dropped, left

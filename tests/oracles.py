@@ -180,6 +180,78 @@ def convolve_atoms(a, atoms, stride):
     return out, smin
 
 
+def line_step(a, lo, atoms, kill, d, budget):
+    """One step of a line measure on a stride-d coset, killed below ``kill``.
+
+    ``np.convolve`` with the (shift, p) ``atoms`` summed into one dense
+    kernel, the kill slice, then ``trim_slabs`` within ``budget``.
+    Returns (a, lo, killed, dropped), the mass this step killed and peeled
+    as floats.
+    """
+    smin = min(s for s, _ in atoms)
+    dense = np.zeros((max(s for s, _ in atoms) - smin) // d + 1)
+    for s, p in atoms:
+        dense[(s - smin) // d] += p
+    a = np.convolve(a, dense)
+    lo += smin
+    k = 0 if kill is None else max(-((lo - kill) // d), 0)
+    killed = float(a[:k].sum())
+    a, (lo,), drop = trim_slabs(a[k:], (lo + k * d,), budget, (d,))
+    return a, lo, killed, float(drop)
+
+
+def walk_step(m, atoms, line_atoms, kill, stride, barrier, budget):
+    """One step of the killed walk and of its leaked line, field by field.
+
+    ``m`` maps the fields of a measure (cells, lo1, lo2, leaked, leak_lo,
+    killed_mass, dropped_mass, leaked_total) to their values; the next
+    ones come back in a new dict.  The box moves by ``convolve_atoms``,
+    loses the slices below ``kill`` (the x1 cut's mass is added first) and
+    is peeled by ``trim_slabs``; the line moves by ``line_step`` with what
+    that left of ``budget``.  Rows right of column ``barrier`` are then
+    summed onto the line, which ``trim_slabs`` peels with what is left.
+    """
+    cells, lo1, lo2 = m["cells"], m["lo1"], m["lo2"]
+    leaked, leak_lo = m["leaked"], m["leak_lo"]
+    killed, dropped = m["killed_mass"], m["dropped_mass"]
+    leaked_total = m["leaked_total"]
+    (d1, d2), (kill1, kill2) = stride, kill
+    if cells.size:
+        out, (s1, s2) = convolve_atoms(cells, atoms, stride)
+        lo1, lo2 = lo1 + s1, lo2 + s2
+        k1 = 0 if kill1 is None else max(-((lo1 - kill1) // d1), 0)
+        k2 = 0 if kill2 is None else max(-((lo2 - kill2) // d2), 0)
+        killed += float(out[:k1, k2:].sum())
+        killed += float(out[:, :k2].sum())
+        cells, (lo1, lo2), drop = trim_slabs(
+            out[k1:, k2:], (lo1 + k1 * d1, lo2 + k2 * d2), budget, stride)
+        budget -= float(drop)
+        dropped += float(drop)
+    if leaked.size:
+        leaked, leak_lo, k, drop = line_step(leaked, leak_lo, line_atoms, kill2,
+                                             d2, budget)
+        killed += k
+        dropped += drop
+        budget -= drop
+    if barrier is not None and cells.size:
+        keep = sum(1 for i in range(cells.shape[0]) if lo1 + d1 * i <= barrier)
+        spill = cells[keep:].sum(axis=0)
+        amt = float(spill.sum())
+        if amt > 0:
+            leaked_total += amt
+            parts = [(c, arr) for c, arr in ((leak_lo, leaked), (lo2, spill)) if len(arr)]
+            lo = min(c for c, _ in parts)
+            line = np.zeros(max((c - lo) // d2 + len(arr) for c, arr in parts))
+            for c, arr in parts:
+                line[(c - lo) // d2:(c - lo) // d2 + len(arr)] += arr
+            leaked, (leak_lo,), drop = trim_slabs(line, (lo,), budget, (d2,))
+            dropped += float(drop)
+        cells = cells[:keep] if keep else np.zeros((0, 0))
+    return dict(cells=cells, lo1=lo1, lo2=lo2, leaked=leaked, leak_lo=leak_lo,
+                killed_mass=killed, dropped_mass=dropped,
+                leaked_total=leaked_total)
+
+
 def gauss1(z, var):
     return math.exp(-z * z / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 

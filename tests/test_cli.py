@@ -82,6 +82,19 @@ def test_tilt_solve_golden(capsys, steps_file):
         assert ("tilted atoms: ((" in err) == bool(verbose)
 
 
+def test_tilt_solve_out_of_float_range_exit_4(capsys, tmp_path):
+    # every step sits near x1 = 1e11: each exp(h.step) of the solved tilt
+    # underflows to 0, so phi(h) does too
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"steps": [
+        {"dx": 10 ** 11, "dy": 1, "w": 1}, {"dx": 10 ** 11 + 2, "dy": -1, "w": 1},
+        {"dx": 10 ** 11, "dy": -1, "w": 1}]}))
+    code, out, err = run_cli(capsys, "--steps", str(path), "tilt", "solve",
+                             "--drift=100000000000.5,-0.2")
+    assert (code, out) == (4, "")
+    assert "out of float range" in err and "Traceback" not in err
+
+
 def test_dp_survive_byte_identity(capsys, tilted_file):
     code, out, _ = run_cli(capsys, "--steps", tilted_file, "dp", "survive",
                            "--x", "1,1", "--n", "50")

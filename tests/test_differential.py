@@ -28,7 +28,7 @@ from quadwalk.ladders import BoundaryConvention
 from quadwalk.pipeline import ConditionedWalkPipeline
 from quadwalk.steps import _stride, compute_moments, solve_drift, tilt
 
-from oracles import count_states, enumerate_paths, trim_slabs
+from oracles import count_states, enumerate_paths, trim_slabs, walk_step
 
 KILLS = {
     Region.QUADRANT: (True, True),
@@ -315,6 +315,14 @@ def integer_weight_laws(draw):
     return validate_steps(list(zip(steps, weights)))
 
 
+def _oracle_step(m, sd):
+    """``m`` one step on by ``oracles.walk_step``, as a measure."""
+    stride = _stride(sd.atoms)
+    return replace(m, n=m.n + 1, stride=stride, **walk_step(
+        vars(m), sd.atoms, sd.vertical_atoms, m.spec.kill, stride, m.barrier,
+        dp.PRUNE_BUDGET))
+
+
 def _fingerprint(m, mu):
     """Everything a snapshot reports, as bytes and float hex strings.
 
@@ -352,14 +360,17 @@ def test_run_buffers_match_fresh_steps(sd, region, conv, barrier, n, data):
     ms = run_dp(sd, x, spec, n, snapshots=snaps, barrier=barrier)
     assert set(ms) == snaps
     mu = compute_moments(sd).mu
-    # a chain from the point mass steps with fresh arrays, no run buffers
+    # the oracle's chain from the point mass, with fresh arrays at every
+    # step; step_measure from a snapshot must land on its next measure
     m = QuadrantMeasure.point_mass(x, spec, barrier=ms[0].barrier,
                                    gamma=ms[0].gamma)
     for k in range(n + 1):
         if k:
-            m = step_measure(m, sd)
+            m = _oracle_step(m, sd)
         if k in snaps:
             assert _fingerprint(ms[k], mu) == _fingerprint(m, mu), k
+        if k - 1 in snaps:
+            assert _fingerprint(step_measure(ms[k - 1], sd), mu) == _fingerprint(m, mu), k
 
 
 @pytest.mark.parametrize("sd", [
@@ -382,7 +393,7 @@ def test_snapshots_own_their_boxes(sd):
 
 def test_run_stops_at_its_last_snapshot():
     sd = validate_steps([((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)])
-    with patch.object(dp, "step_measure", wraps=dp.step_measure) as stepped:
+    with patch.object(dp, "_kill_step", wraps=dp._kill_step) as stepped:
         ms = run_dp(sd, (1, 1), ExitSpec(), 10 ** 6, snapshots={0, 7, 30},
                     barrier=None)
     assert set(ms) == {0, 7, 30} and stepped.call_count == 30
@@ -390,7 +401,7 @@ def test_run_stops_at_its_last_snapshot():
 
 # -- the leaked line stepped as one chain -----------------------------------------
 
-LINE_CHAIN_CAP = 240  # steps of the step_measure loop a chain is checked over
+LINE_CHAIN_CAP = 240  # steps of the oracle loop a chain is checked over
 
 
 @st.composite
@@ -404,7 +415,7 @@ def drifting_laws(draw):
 
 
 def _check_line_chain(sd, spec, x, barrier, extra=()):
-    """``run_dp`` against a ``step_measure`` loop from the point mass.
+    """``run_dp`` against a loop of ``oracles.walk_step`` from the point mass.
 
     The snapshots fall before, at and after the steps where the box and
     then the leaked line empty, and at ``extra``.  Returns the loop's
@@ -414,7 +425,7 @@ def _check_line_chain(sd, spec, x, barrier, extra=()):
     m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=dp.chernoff_gamma(sd))
     ms, n_max = [m], LINE_CHAIN_CAP
     while len(ms) <= n_max:
-        m = step_measure(m, sd)
+        m = _oracle_step(m, sd)
         ms.append(m)
         if not (m.cells.size or m.leaked.size):
             n_max = min(n_max, m.n + 8)  # all dead: a few steps more

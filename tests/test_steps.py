@@ -26,11 +26,16 @@ from quadwalk.errors import (
     NumericError,
     ZeroTotalWeightError,
 )
-from quadwalk.steps import TILT_TOL, _Buffers, _kill_step, _line_steps, _trim
+from quadwalk import steps
+from quadwalk.steps import TILT_TOL, _Buffers, _kill_step, _line_steps, _step_plan, _trim
 
-from oracles import convolve_atoms, lattice_index, trim_slabs
+from oracles import convolve_atoms, lattice_index, line_step, trim_slabs
 
 HSTAR = (0.0, -0.5 * math.log(2.0))
+
+
+FAR_LAW = validate_steps([((10 ** 11, 1), 1), ((10 ** 11 + 2, -1), 1),
+                          ((10 ** 11, -1), 1)])
 
 
 def tilted_singular():
@@ -132,6 +137,14 @@ class TestTilt:
         assert pmf[(1, -1)] == pytest.approx(0.5, abs=1e-14)
         assert pmf[(1, 1)] == pytest.approx(0.25, abs=1e-14)
         assert pmf[(-1, 1)] == pytest.approx(0.25, abs=1e-14)
+
+    def test_phi_out_of_range_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="out of float range"):
+            tilt(singular_steps(), (800, 0))  # exp(800) overflows
+        # every step sits near x1 = 1e11, so every exp(h.step) of the
+        # solved tilt underflows to 0
+        with pytest.raises(NumericError, match="out of float range"):
+            solve_drift(FAR_LAW, (1e11 + 0.5, -0.2))
 
     @pytest.mark.parametrize("mu1", [0.3, 0.5, 0.7])
     def test_c06_closed_form(self, mu1):
@@ -485,24 +498,81 @@ def test_line_steps_match_convolve_and_slab_peel(cells, law, d, lo, kill, steps,
     got = _line_steps(a, lo, atoms, kill, d, steps, budget, 0.5, 0.25)
     # the reference: one np.convolve, the kill slice and the generic slab
     # peel per step, sums added one by one
-    smin = atoms[0][0]
-    dense = np.zeros((atoms[-1][0] - smin) // d + 1)
-    for s, p in atoms:
-        dense[(s - smin) // d] += p
     killed, dropped, left = 0.5, 0.25, budget
     for _ in range(steps):
-        a = np.convolve(a, dense)
-        lo += smin
-        k = 0 if kill is None else max(-((lo - kill) // d), 0)
-        killed += float(a[:k].sum())
-        a, lo = a[k:], lo + k * d
-        a, (lo,), drop = trim_slabs(a, (lo,), budget, (d,))
-        dropped += float(drop)
-        left = budget - float(drop)
+        a, lo, k, drop = line_step(a, lo, atoms, kill, d, budget)
+        killed += k
+        dropped += drop
+        left = budget - drop
         if not a.size:
             break
     assert got[0].tobytes() == a.tobytes() and got[1] == lo
     assert [float(v).hex() for v in got[2:]] == [v.hex() for v in (killed, dropped, left)]
+
+
+def test_line_steps_refuse_a_convolution_above_the_cap(monkeypatch):
+    atoms = ((-1, 0.25), (0, 0.5), (1, 0.25))  # the line grows 2 cells a step
+    a = np.full(4, 0.25)
+    monkeypatch.setattr(steps, "MAX_CELLS", 8)
+    got = _line_steps(a, 0, atoms, None, 1, 2)  # convolves 6 and 8 cells
+    assert len(got[0]) == 8
+    with pytest.raises(InputError, match="a line step of 10 entries"):
+        _line_steps(a, 0, atoms, None, 1, 3)
+    with pytest.raises(InputError, match="a line step of 10 entries"):
+        _line_steps(np.full(8, 0.125), 0, atoms, None, 1, 1)
+
+
+box_cells = st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                      st.floats(0.0, 2.0 ** -1022, allow_subnormal=True),
+                      st.floats(1e-40, 1e-30))
+
+
+@st.composite
+def trim_boxes(draw):
+    """A nonnegative 2-D box with zero or tied edges, contiguous or a view."""
+    exact = draw(st.booleans())
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cell = st.integers(0, 2 ** 70) if exact else box_cells
+    a = np.array(draw(st.lists(cell, min_size=n1 * n2, max_size=n1 * n2)),
+                 dtype=object if exact else float).reshape(n1, n2)
+    if a.size:
+        for edge in draw(st.lists(st.sampled_from(["top", "bottom", "left", "right"]),
+                                  max_size=4)):
+            a[{"top": (0,), "bottom": (-1,), "left": (slice(None), 0),
+               "right": (slice(None), -1)}[edge]] = 0
+        tie = draw(st.sampled_from(["none", "rows", "columns", "all"]))
+        if tie == "rows":
+            a[-1] = a[0]
+        elif tie == "columns":
+            a[:, -1] = a[:, 0]
+        elif tie == "all":  # rows tie with rows, columns with columns
+            a[...] = a.flat[0]
+    layout = draw(st.sampled_from(["contiguous", "cut", "every other"]))
+    if layout == "cut":  # a box cut on x2 by a kill
+        wide = np.zeros((n1, n2 + 2), a.dtype)
+        wide[:, 2:] = a
+        a = wide[:, 2:]
+    elif layout == "every other":
+        wide = np.zeros((n1, 2 * n2), a.dtype)
+        wide[:, ::2] = a
+        a = wide[:, ::2]
+    return a
+
+
+@given(trim_boxes(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       st.tuples(st.integers(1, 3), st.integers(1, 3)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_trim_box_matches_slab_peel(a, lo, stride, data):
+    total = float(a.sum())
+    budget = data.draw(st.one_of(st.just(0), st.floats(0.0, total), st.just(total),
+                                 st.just(math.inf)))
+    before = a.copy()
+    got = _trim(a, lo, budget, stride, _Buffers(a.dtype))
+    want = trim_slabs(a, lo, budget, stride)
+    assert _same(got[0], want[0]) and got[1] == want[1]
+    assert got[0].flags.c_contiguous == want[0].flags.c_contiguous
+    assert type(got[2]) is type(want[2]) and float(got[2]).hex() == float(want[2]).hex()
+    assert _same(a, before)
 
 
 @st.composite
@@ -543,7 +613,8 @@ def test_kill_step_matches_atom_by_atom_reference(case, strided, reuse):
         wide[:, 2:] = a
         a = wide[:, 2:]
     work = _RUN_BUFFERS[a.dtype == object] if reuse else None
-    alive, alive_lo, cuts, dropped = _kill_step(a, lo, atoms, kill, stride, 0, work)
+    plan = _step_plan(atoms, stride, 2)
+    alive, alive_lo, cuts, dropped = _kill_step(a, lo, plan, kill, 0, work)
     ref, smin = convolve_atoms(a, atoms, stride)
     first = [c + s for c, s in zip(lo, smin)]
     # cells killed on each axis: those below its kill line
@@ -570,4 +641,4 @@ def test_kill_step_refuses_shifts_off_the_stride():
     atoms = ((0, 0, 0.5), (1, 0, 0.5))
     for _ in range(2):  # the step plan is cached; its refusal is not
         with pytest.raises(InputError, match="off the lattice"):
-            _kill_step(np.ones((1, 1)), (0, 0), atoms, (None, None), (2, 1))
+            _step_plan(atoms, (2, 1), 2)
