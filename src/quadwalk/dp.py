@@ -348,6 +348,9 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
         for cut in cuts:
             if cut.size:  # an empty cut adds 0.0, which changes nothing
                 killed += float(cut.sum())
+        # the cuts are views of the step's output buffer: let them go, so
+        # that a buffer the next step outgrows is freed at once
+        del cuts, cut
         budget = PRUNE_BUDGET - float(drop)
         dropped += float(drop)
         # evolve any previously leaked mass (vertical kill only)
