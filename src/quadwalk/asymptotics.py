@@ -295,12 +295,14 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     """Compare exact DP values against the matching predictor.
 
     Returns one row per (n, point); lattice-infeasible requests are skipped
-    with a note appended to ``notes``, a list when supplied.
+    with a note appended to ``notes``, a list when supplied; a W whose
+    bracket is wider than ``W_TOL`` is used as it is, with a note.
     ``n_schedule`` must be nonempty, with every n positive.  ``llt-half``
     kills on x2 only, and its prediction is ``predict_llt`` with V(x2) in
     place of W.
     """
     from . import dp as dpmod
+    from .pipeline import W_TOL
 
     note = [].append if notes is None else notes.append
     schedule = sorted(set(int(n) for n in n_schedule))
@@ -340,7 +342,13 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     half = theorem_id == "llt-half"
     spec = (dpmod.ExitSpec(region=dpmod.Region.UPPER_HALF_PLANE,
                            conv=pipe.spec.conv) if half else pipe.spec)
-    W = pipe.v_eff(x[1]) if half else pipe.w_value(x)
+    if half:
+        W = pipe.v_eff(x[1])
+    else:
+        est = pipe.w(x)
+        if est.warned:
+            note(f"W at x=({x[0]}, {x[1]}): bracket width {est.width!r} above tol {W_TOL!r}")
+        W = est.value
     snaps = dpmod.run_dp(pipe.sd, x, spec, schedule[-1], snapshots=schedule,
                          barrier="auto" if theorem_id in ("tail", "line") else None)
     kappa = pipe.consts.kappa

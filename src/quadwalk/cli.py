@@ -151,7 +151,7 @@ def cmd_renewal(args):
     else:
         ld = ladders.ascending_ladder(sd)
         table = ladders.renewal_H(ld, args.max_u)
-    rows = [[u, float(table.values[u])] for u in range(table.U + 1)]
+    rows = [[u, float(v)] for u, v in enumerate(table.values)]
     return Table(["u", "value"], rows)
 
 

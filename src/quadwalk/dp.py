@@ -33,10 +33,12 @@ that mass bounds the error of every event probability, and
 For quadrant runs with positive horizontal drift a truncation barrier L
 may be enabled: mass crossing x1 > L migrates to a one-dimensional
 vertical measure that keeps the vertical kill but drops the horizontal
-one.  The leaked measure lies on the same vertical coset, and it steps by
+one.  The leaked measure lies on the same vertical coset.  It steps by
 ``steps._line_steps``, its ends peeled from what the 2-D box left of the
-step's budget.  No mass re-enters the box, so once every cell has crossed
-or been killed the box is empty, shape (0, 0), and only the line moves.
+step's budget, and the spill joins it through the line kernel's own end
+walk, ``steps._peel_line``, with what the line step left.  No mass
+re-enters the box, so once every cell has crossed or been killed the box
+is empty, shape (0, 0), and only the line moves.
 The loop then steps the line as one ``_line_steps`` chain up to the next
 snapshot, each step with the whole budget, since an empty box peels
 nothing; once the line is empty too it goes straight to the next
@@ -68,7 +70,7 @@ import numpy as np
 from .errors import BarrierError, InputError
 from .ladders import BoundaryConvention
 from .steps import (StepDistribution, _Buffers, _kill_step, _line_steps,
-                    _step_plan, _stride, _trim, compute_moments)
+                    _peel_line, _step_plan, _stride, compute_moments)
 
 # Mass that a DP step may peel off the edges of a measure,
 # shared by its trims: after n steps dropped_mass <= n * PRUNE_BUDGET.
@@ -366,8 +368,8 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
             if amt > 0:
                 leaked_total += amt
                 lo, out = _add_lines(leak_lo, leaked, lo2, spill, d2)
-                leaked, (leak_lo,), drop = _trim(out, (lo,), budget, (d2,))
-                dropped += float(drop)
+                leaked, leak_lo, drop = _peel_line(out, lo, d2, budget)
+                dropped += drop
             # an emptied box keeps no columns: their zero sums would join
             # the line at a stale lo2
             cells = cells[:keep, :] if keep else np.zeros((0, 0))

@@ -80,16 +80,16 @@ class LadderDist:
 
 @dataclass(frozen=True)
 class RenewalTable:
-    """Tabulated renewal function on integers 0..U."""
+    """Tabulated renewal function on integers 0..U, U = len(values) - 1."""
 
     values: np.ndarray
-    U: int
 
     def __call__(self, u: int) -> float:
         if u < 0:
             return 0.0
-        if u > self.U:
-            raise InputError(f"renewal table of size {self.U} queried at {u}")
+        if u >= len(self.values):
+            size = len(self.values) - 1
+            raise InputError(f"renewal table of size {size} queried at {u}")
         return float(self.values[u])
 
 
@@ -259,7 +259,7 @@ def renewal_V(ld: LadderDist, U: int) -> RenewalTable:
         raise InputError("ladder law has all mass at overshoot 0")
     pos = {j: p / (1.0 - p0) for j, p in ld.pmf.items()}
     S = np.cumsum(_renewal_mass(pos, U))
-    return RenewalTable(values=S / (1.0 - p0), U=U)
+    return RenewalTable(values=S / (1.0 - p0))
 
 
 def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
@@ -269,7 +269,7 @@ def renewal_H(ld: LadderDist, U: int) -> RenewalTable:
     # for u >= 1 the k = 0 term P(Z_0 < u) is the indicator, and
     # P(Z_k < u) = P(Z_k <= u-1): the renewal CDF shifted right by one
     H = np.cumsum(_renewal_mass(ld.pmf, U))[:U]
-    return RenewalTable(values=np.concatenate(([0.0], H)), U=U)
+    return RenewalTable(values=np.concatenate(([0.0], H)))
 
 
 def kappa(ld: LadderDist, sigma2: float) -> float:

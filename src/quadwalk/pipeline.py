@@ -37,9 +37,10 @@ def _grown(table: RenewalTable | None, U: int, build) -> RenewalTable:
     Both renewal tables are prefix-stable (``ladders._renewal_mass``), so a
     rebuild changes no value, and happens O(log U) times.
     """
-    if table is not None and table.U >= U:
+    size = 0 if table is None else len(table.values) - 1
+    if table is not None and size >= U:
         return table
-    return build(max(U, 64, 2 * (table.U if table is not None else 0)))
+    return build(max(U, 64, 2 * size))
 
 
 @dataclass

@@ -15,9 +15,11 @@ with stride d (``_stride``, the d_i of ``LatticeStructure``) cell i stands
 for coordinate lo + d*i, since after any number of steps from one start every
 reachable coordinate lies in one class modulo d.  The other d-1 classes,
 exact zeros in a unit-stride box, are never stored.  After each step the
-lightest edge rows and columns are peeled while their mass fits the
-caller's budget, and what was peeled is returned; the default budget 0
-removes exact zeros only.  A measure peeled or killed to nothing has no
+measure's edges are peeled while their mass fits the caller's budget, and
+what was peeled is returned; budget 0 removes exact zeros only.  ``_trim``
+peels a box's lightest edge row or column, ``_peel_line`` a line's lighter
+end, and ``_peel_line`` is also the peel where ``dp``'s barrier spill
+joins the leaked line.  A measure peeled or killed to nothing has no
 cells, and callers stop stepping it: mass only ever leaves a killed walk.
 
 The kernels run tens of thousands of steps in a long run, so they keep
@@ -30,8 +32,9 @@ output, and a caller stepping one measure many times passes a
 ``_Buffers`` that keeps the step's arrays, so no box is allocated per
 step.  ``_trim`` sums the four edge slabs of the box once and, after each
 peel, only the slabs that peel changed.  ``_line_steps`` runs its whole
-chain in one call: a step is one ``np.convolve``, a kill slice and a walk
-inward from the two ends, and no per-step object is built.
+chain in one call: a step is one ``np.convolve``, a kill slice and a
+``_peel_line`` walk inward from the two ends, and no measure object is
+built per step.
 """
 
 from __future__ import annotations
@@ -79,12 +82,10 @@ __all__ = [
 class StepDistribution:
     """Normalized finite-support step law on Z^2.
 
-    ``atoms`` holds distinct (dx, dy, weight) triples with the weights
-    summing to 1; ``total_weight`` is the weight sum before normalization.
+    ``atoms`` holds distinct (dx, dy, weight) triples, the weights summing to 1.
     """
 
     atoms: tuple[tuple[int, int, float], ...]
-    total_weight: float
 
     def vertical_pmf(self) -> dict[int, float]:
         """Marginal law of dy."""
@@ -241,7 +242,7 @@ def validate_steps(raw) -> StepDistribution:
     )
     if not atoms:
         raise ZeroTotalWeightError("total weight is zero")
-    return StepDistribution(atoms=atoms, total_weight=total)
+    return StepDistribution(atoms=atoms)
 
 
 def singular_steps() -> StepDistribution:
@@ -276,7 +277,7 @@ def tilt(sd: StepDistribution, h) -> tuple[StepDistribution, TiltParams]:
     atoms = tuple(
         (dx, dy, wt / phi) for (dx, dy, _), wt in zip(sd.atoms, weights)
     )
-    return StepDistribution(atoms=atoms, total_weight=phi), TiltParams(h=(h1, h2), phi=phi)
+    return StepDistribution(atoms=atoms), TiltParams(h=(h1, h2), phi=phi)
 
 
 def _grad_hess_logphi(sd: StepDistribution, h):
@@ -520,99 +521,73 @@ class _Buffers:
         return np.frombuffer(mmap.mmap(-1, n * self.dtype.itemsize), self.dtype)
 
 
-def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers | None = None):
-    """Peel edge slabs off a nonnegative 1-D or 2-D ``a`` within a mass budget.
+def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers):
+    """Peel edge rows and columns off a nonnegative 2-D box within a mass budget.
 
-    ``a[i]`` is at coordinate lo + stride*i on each axis.  The lightest of
-    the box's edge slabs (first and last row, first and last column) is
-    peeled for as long as the total peeled stays <= ``budget``; budget 0
-    peels exact-zero edges only.  A tie peels the first of them in that
-    order, so a 1-D tie peels the low end.  Returns (array, lo, dropped),
-    ``dropped`` the sum of the peeled slabs in peel order.  An array peeled
-    to nothing comes back with no cells, shape (0,) * ndim.
+    ``a[i, j]`` is at (lo1 + d1*i, lo2 + d2*j), (d1, d2) = ``stride``.  The
+    lightest of the box's edge slabs (first and last row, first and last
+    column) is peeled for as long as the total peeled stays <= ``budget``;
+    budget 0 peels exact-zero edges only, and a tie peels the first of them
+    in that order.  Returns (box, lo, dropped), ``dropped`` the sum of the
+    peeled slabs in peel order.  A box peeled to nothing comes back with no
+    cells, shape (0, 0).
 
     The four slabs are summed once; a peel then sums the slab it uncovers
     and the two across it, which lost a cell, and keeps the sum of the
     opposite one, the same slice as before.  A row is summed on the view
     ``a[r0:r0 + 1, c0:c1]`` of the box left and a column on ``a[r0:r1,
     c0:c0 + 1]``, the views a peel that sums all four slabs each round
-    would sum, so every sum and every choice is the same as there.  A 1-D
-    slab is one cell, and a one-cell sum is that cell.
-
-    A peeled box that is not contiguous is copied into the scratch slot of
-    ``work``, which a 2-D ``a`` needs, so it comes back contiguous.  A
-    stepped line peels its own ends (``_line_steps``); this path peels a
-    line only where mass joins it, at the barrier.
+    would sum, so every sum and every choice is the same as there.  A
+    peeled box that is not contiguous is copied into the scratch slot of
+    ``work``, so it comes back contiguous.
     """
     dropped = 0
     if not a.size:  # a kill took every row or column
-        return np.zeros((0,) * a.ndim, a.dtype), lo, dropped
-    if a.ndim == 1:
-        i0, i1 = 0, len(a)
-        first, last = a[0], a[-1]
-        while True:
-            high = last < first
-            mass = last if high else first
-            if dropped + mass > budget:
-                break
-            dropped += mass
-            if high:
-                i1 -= 1
+        return np.zeros((0, 0), a.dtype), lo, dropped
+    add = np.add.reduce
+    r1, c1 = a.shape
+    r0 = c0 = 0
+    top, bottom = add(a[:1], None), add(a[-1:], None)
+    left, right = add(a[:, :1], None), add(a[:, -1:], None)
+    while True:
+        mass, k = top, 0
+        if bottom < mass:
+            mass, k = bottom, 1
+        if left < mass:
+            mass, k = left, 2
+        if right < mass:
+            mass, k = right, 3
+        if dropped + mass > budget:
+            break
+        dropped += mass
+        if k == 0:
+            r0 += 1
+        elif k == 1:
+            r1 -= 1
+        elif k == 2:
+            c0 += 1
+        else:
+            c1 -= 1
+        if r0 == r1 or c0 == c1:
+            return np.zeros((0, 0), a.dtype), lo, dropped
+        # sum the slab the peel uncovered and the two across it, which
+        # lost a cell; the opposite slab is the same slice as before
+        if k < 2:
+            if k:
+                bottom = add(a[r1 - 1:r1, c0:c1], None)
             else:
-                i0 += 1
-            if i0 == i1:
-                return np.zeros(0, a.dtype), lo, dropped
-            if high:
-                last = a[i1 - 1]
+                top = add(a[r0:r0 + 1, c0:c1], None)
+            left, right = add(a[r0:r1, c0:c0 + 1], None), add(a[r0:r1, c1 - 1:c1], None)
+        else:
+            if k == 3:
+                right = add(a[r0:r1, c1 - 1:c1], None)
             else:
-                first = a[i0]
-        box, start = (slice(i0, i1),), (i0,)
-    else:
-        add = np.add.reduce
-        r1, c1 = a.shape
-        r0 = c0 = 0
-        top, bottom = add(a[:1], None), add(a[-1:], None)
-        left, right = add(a[:, :1], None), add(a[:, -1:], None)
-        while True:
-            mass, k = top, 0
-            if bottom < mass:
-                mass, k = bottom, 1
-            if left < mass:
-                mass, k = left, 2
-            if right < mass:
-                mass, k = right, 3
-            if dropped + mass > budget:
-                break
-            dropped += mass
-            if k == 0:
-                r0 += 1
-            elif k == 1:
-                r1 -= 1
-            elif k == 2:
-                c0 += 1
-            else:
-                c1 -= 1
-            if r0 == r1 or c0 == c1:
-                return np.zeros((0, 0), a.dtype), lo, dropped
-            # sum the slab the peel uncovered and the two across it, which
-            # lost a cell; the opposite slab is the same slice as before
-            if k < 2:
-                if k:
-                    bottom = add(a[r1 - 1:r1, c0:c1], None)
-                else:
-                    top = add(a[r0:r0 + 1, c0:c1], None)
-                left, right = add(a[r0:r1, c0:c0 + 1], None), add(a[r0:r1, c1 - 1:c1], None)
-            else:
-                if k == 3:
-                    right = add(a[r0:r1, c1 - 1:c1], None)
-                else:
-                    left = add(a[r0:r1, c0:c0 + 1], None)
-                top, bottom = add(a[r0:r0 + 1, c0:c1], None), add(a[r1 - 1:r1, c0:c1], None)
-        box, start = (slice(r0, r1), slice(c0, c1)), (r0, c0)
-    kept = a[box]
+                left = add(a[r0:r1, c0:c0 + 1], None)
+            top, bottom = add(a[r0:r0 + 1, c0:c1], None), add(a[r1 - 1:r1, c0:c1], None)
+    kept = a[r0:r1, c0:c1]
     if kept.shape == a.shape:
         return a, lo, dropped
-    lo = tuple(c + d * s for c, d, s in zip(lo, stride, start))
+    lo = (lo[0] + stride[0] * r0, lo[1] + stride[1] * c0)
     if kept.flags.c_contiguous:
         return kept, lo, dropped
     out = work.take(2, kept.size).reshape(kept.shape)
@@ -720,6 +695,32 @@ def _kill_step(a: np.ndarray, lo: tuple, plan: tuple, kill, budget=0,
     return new, lo, (cut1, cut2), dropped
 
 
+def _peel_line(a: np.ndarray, lo: int, d: int, budget):
+    """Peel the ends of a 1-D float measure, ``a[i]`` at lo + d*i.
+
+    The lighter end goes first, the low one on a tie, while the total
+    peeled stays <= ``budget``; budget 0 peels exact zeros only.  Ends are
+    compared and summed as Python floats, the same doubles as numpy's.
+    Returns (kept, lo, dropped), ``kept`` a view of ``a``; a line peeled
+    to nothing comes back as ``a[:0]`` with the lo it had.
+    """
+    i0, i1, drop = 0, len(a), 0.0
+    while i0 < i1:
+        first, last = float(a[i0]), float(a[i1 - 1])
+        high = last < first
+        mass = last if high else first
+        if drop + mass > budget:
+            break
+        drop += mass
+        if high:
+            i1 -= 1
+        else:
+            i0 += 1
+    if i0 == i1:
+        return a[:0], lo, drop
+    return a[i0:i1], lo + d * i0, drop
+
+
 def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
                 steps: int, budget=0.0, killed=0.0, dropped=0.0):
     """``steps`` steps of a walk on a line killed below ``kill``.
@@ -728,11 +729,9 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
     ``atoms`` a tuple of (shift, p) pairs in one class modulo d, and
     ``kill`` the lowest surviving coordinate, or None.  A step is one
     ``np.convolve`` with the law's dense kernel; the mass below ``kill``
-    is added to ``killed``, and then the ends are peeled, the lighter
-    first and the low one on a tie, while the mass peeled in that step
-    stays <= ``budget``; it is added to ``dropped``.  Every step gets the
-    whole budget, and the default 0 peels exact zeros only.  The ends are
-    compared and summed as Python floats, the same doubles as numpy's.
+    is added to ``killed``, and then ``_peel_line`` peels the ends within
+    ``budget`` and the mass it peeled is added to ``dropped``.  Every step
+    gets the whole budget, and the default 0 peels exact zeros only.
     Stepping stops at the first step that leaves no cells.  A step whose
     convolution would hold more than ``MAX_CELLS`` entries raises
     ``InputError`` before it allocates.
@@ -743,10 +742,10 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
     """
     _, (smin,), _, _, dense = _step_plan(atoms, (d,), 1)
     cap = MAX_CELLS - len(dense) + 1  # longest line a step may convolve
-    left, i1 = budget, len(a)
+    left = budget
     for _ in range(steps):
-        if i1 > cap:  # then this raises
-            _check_size(i1 + len(dense) - 1, "a line step")
+        if len(a) > cap:  # then this raises
+            _check_size(len(a) + len(dense) - 1, "a line step")
         a = np.convolve(a, dense)
         lo += smin
         # a step that kills nothing adds nothing: killed + 0.0 == killed
@@ -757,23 +756,9 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
             killed += float(a[0] if k == 1 else a[:k].sum())
             a = a[k:]
             lo += k * d
-        i0, i1, drop = 0, len(a), 0.0
-        while i0 < i1:
-            first, last = float(a[i0]), float(a[i1 - 1])
-            high = last < first
-            mass = last if high else first
-            if drop + mass > budget:
-                break
-            drop += mass
-            if high:
-                i1 -= 1
-            else:
-                i0 += 1
+        a, lo, drop = _peel_line(a, lo, d, budget)
         dropped += drop
         left = budget - drop
-        if i0 == i1:
-            return a[:0], lo, killed, dropped, left
-        a = a[i0:i1]
-        lo += d * i0
-        i1 -= i0
+        if not a.size:
+            break
     return a, lo, killed, dropped, left

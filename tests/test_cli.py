@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadwalk import ladders, pipeline, singular_steps, solve_drift, validate_steps
+from quadwalk.asymptotics import predict_tail
 from quadwalk.cli import main
 from quadwalk.dp import ExitSpec, count_paths, local_prob, survival_prob
 from quadwalk.errors import DegenerateSupportError
@@ -238,6 +239,7 @@ def test_verify_qbar(capsys, steps_file):
 # output (header plus 5 qbar and 2 kernel rows), which load scipy on use.
 SCIPY_GUARD = """
 import contextlib, io, sys
+from quadwalk.asymptotics import predict_tail
 from quadwalk.cli import main
 
 def run(*argv):
@@ -493,6 +495,23 @@ def test_harmonic_w_unmet_tol_exit_4_with_partial(capsys, monkeypatch, tilted_fi
     assert est.warned and row == {"x1": 1, "x2": 1, "lower": est.lower,
                                   "value": est.value, "upper": est.upper,
                                   "n_used": 64}
+
+
+def test_verify_notes_an_unmet_w_tol(capsys, monkeypatch, tilted_file):
+    # the short horizon leaves W's bracket wider than W_TOL: verify still
+    # prints its ratios from that W and exits 0, and says so on stderr
+    monkeypatch.setattr(pipeline, "N_MAX", 64)
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "verify", "tail",
+                             "--x", "1,1", "--n-schedule", "8,16")
+    pipe = ConditionedWalkPipeline.build(validate_steps(
+        [((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)]))
+    est = pipe.w((1, 1))
+    assert code == 0 and est.warned
+    assert err == (f"note: W at x=(1, 1): bracket width {est.width!r} "
+                   f"above tol {pipeline.W_TOL!r}\n")
+    predicted = [r.split(",")[3] for r in out.strip().splitlines()[1:]]
+    assert predicted == [repr(predict_tail(n, pipe.consts.kappa, est.value))
+                         for n in (8, 16)]
 
 
 @pytest.mark.parametrize("steps, argv", [

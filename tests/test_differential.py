@@ -479,6 +479,24 @@ def test_line_chain_on_the_right_half_plane():
     assert {m.killed_mass for m in ms[e:]} == {ms[e].killed_mass}
 
 
+def test_spill_join_peels_within_what_the_step_left():
+    # One step of a hand-built barrier measure: the box's own peel spends
+    # 6e-34 of the 1e-33 budget on its column at x2 = 4, so the leaked
+    # line's low end (5e-34 at x2 = 2) stays through its step and through
+    # the join of the spill at x1 = 4 > L, though the whole budget holds it.
+    # The spill always outweighs what the box's peel left (its last row is
+    # an edge that peel could not take), so a join never empties the line.
+    sd = validate_steps([((1, -1), 2), ((1, 1), 1), ((-1, 1), 1)])
+    m = QuadrantMeasure(n=1, cells=np.array([[1.2e-33, 0.25, 0.25]]), lo1=3, lo2=5,
+                        spec=ExitSpec(), stride=(2, 2), barrier=3,
+                        leaked=np.array([1e-33, 0.25]), leak_lo=3,
+                        leaked_total=0.25, gamma=dp.chernoff_gamma(sd))
+    got, mu = step_measure(m, sd), compute_moments(sd).mu
+    assert _fingerprint(got, mu) == _fingerprint(_oracle_step(m, sd), mu)
+    assert got.dropped_mass == 6e-34 and got.leak_lo == 2
+    assert got.leaked[0] == 5e-34 and got.leaked_total > m.leaked_total
+
+
 def _half_plane_old_loop(sd, x2, n, conv):
     """``half_plane_survival`` as it stepped before the line chain.
 
