@@ -6,11 +6,19 @@ is bit-identical no matter how blocks are distributed over workers.  The
 seed must lie in [0, 2^64): it is one 64-bit word of the key.
 
 Only the paths still alive are stepped: each step draws one raw 64-bit
-word per survivor, and a block stops once it has none left.  The word's
-top 53 bits are the uniform ``(word >> 11) * 2**-53`` that
-``Generator.random`` returns from the same stream, and the atom is the
-one the cumulative weights give that uniform; the comparison is done on
-the integer word, exactly.
+word per survivor.  The word's top 53 bits are the uniform
+``(word >> 11) * 2**-53`` that ``Generator.random`` returns from the same
+stream, and the atom is the one the cumulative weights give that uniform;
+the comparison is done on the integer word, exactly.  The pick reads a
+guide table by the word's top 12 bits, which gives the atom at once when
+no edge between atoms falls inside that bucket, and otherwise narrows to
+it by a few halving steps over the bucket's edges (see ``_guide``).
+
+Each worker steps its blocks as one queue: it takes them in index order,
+admits the next while fewer than BLOCK_SIZE / 4 paths are live, and runs
+each step's pick, move and kill once over the live paths of every block in
+flight, while each block still draws its own words from its own stream.
+A block leaves after its n-th step or once it has no paths left.
 
 Only the coordinates that the exit spec kills on, and that can reach
 their threshold within n steps, are tracked, packed into one int64 per
@@ -25,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +46,9 @@ __all__ = ["McEstimate", "simulate_survival", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 1 << 14
 _FIELD_LIMIT = 1 << 31  # values a packed 32-bit field holds with its sign
+_BUCKET_BITS = 12  # top word bits that index the guide table
+_BUCKET_SHIFT = 64 - _BUCKET_BITS
+_ADMIT_BELOW = BLOCK_SIZE // 4  # a worker admits blocks while fewer live
 
 
 @dataclass(frozen=True)
@@ -80,10 +92,52 @@ class _Kernel(NamedTuple):
     alive iff ``state & sign_bits == 0``.
     """
 
-    edges: np.ndarray   # uint64, see _atom_edges
+    guide: np.ndarray   # atom of each bucket's first word, see _guide
+    moves: np.ndarray   # int64 packed shift of that atom
+    passes: int         # halving steps inside a bucket
+    edges: np.ndarray   # uint64 edges >> 11, padded with 2**53
     shift: np.ndarray   # int64 packed shift per atom
     start: int          # packed start
     sign_bits: np.int64
+
+
+def _guide(edges: np.ndarray):
+    """Guide table of the top _BUCKET_BITS word bits, passes, padded edges.
+
+    ``guide[b]`` is the number of edges at or below bucket b's first word,
+    so the atom of a word in bucket b, if no edge lies strictly inside it.
+    ``passes`` is the bit length of the most edges strictly inside one
+    bucket, which that many halving steps over ``guide[b]`` and the edges
+    after it resolve (see ``_moves``).
+    """
+    starts = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << _BUCKET_SHIFT
+    guide = edges.searchsorted(starts, side="right")
+    inside = np.append(edges.searchsorted(starts[1:], side="left"),
+                       edges.size) - guide
+    passes = int(inside.max()).bit_length()
+    padded = np.append(edges >> 11,
+                       np.full((1 << passes) - 1, 1 << 53, dtype=np.uint64))
+    return guide, passes, padded
+
+
+def _moves(kernel: _Kernel, words: np.ndarray) -> np.ndarray:
+    """``shift[edges.searchsorted(words, side="right")]``; overwrites words.
+
+    When no bucket holds an edge inside, a bucket's atom is the pick and
+    one gather of ``moves`` gives its shift.  Otherwise the halving steps
+    compare top 53 bits: an edge is a multiple of 2**11, so it is at or
+    below a word exactly when its top 53 bits are at or below the word's,
+    and those never reach the padding 2**53, so the search stays inside
+    ``edges``.
+    """
+    if not kernel.passes:
+        words >>= _BUCKET_SHIFT
+        return kernel.moves.take(words.view(np.int64))
+    words >>= 11
+    pick = kernel.guide.take((words >> (_BUCKET_SHIFT - 11)).view(np.int64))
+    for p in reversed(range(kernel.passes)):
+        pick += (kernel.edges.take(pick + ((1 << p) - 1)) <= words) << p
+    return kernel.shift.take(pick)
 
 
 def _kernel(sd: StepDistribution, x, n: int, spec: ExitSpec) -> _Kernel:
@@ -115,26 +169,59 @@ def _kernel(sd: StepDistribution, x, n: int, spec: ExitSpec) -> _Kernel:
         shift = [t + (si << field) for t, si in zip(shift, s)]
         sign |= 1 << (field + 31)
         field += 32
-    return _Kernel(edges=_atom_edges([w for _, _, w in atoms]),
-                   shift=np.array(shift, dtype=np.int64), start=start,
+    shift = np.array(shift, dtype=np.int64)
+    guide, passes, edges = _guide(_atom_edges([w for _, _, w in atoms]))
+    return _Kernel(guide=guide, moves=shift[guide], passes=passes,
+                   edges=edges, shift=shift, start=start,
                    sign_bits=np.uint64(sign).astype(np.int64))
 
 
-def _survival_count(kernel: _Kernel, n: int, count: int, seed: int,
-                    block_idx: int) -> int:
-    """Paths of one block alive after n steps."""
-    edges, shift, start, sign_bits = kernel
-    if not sign_bits:
-        return count  # no tracked axis: no path can die
-    bits = np.random.Philox(key=np.array([seed, block_idx], dtype=np.uint64))
-    state = np.full(count, start, dtype=np.int64)
-    for _ in range(n):
-        if not state.size:
-            break
-        state += shift[edges.searchsorted(bits.random_raw(state.size),
-                                          side="right")]
-        state = state[(state & sign_bits) == 0]
-    return state.size
+def _block_counts(kernel: _Kernel, n: int, seed: int,
+                  blocks: list[tuple[int, int]]) -> list[int]:
+    """Paths alive after n steps in each of ``blocks``, (index, paths) pairs.
+
+    The blocks are stepped as one queue in the order given: the next one
+    joins while fewer than _ADMIT_BELOW paths are live, and a block leaves
+    from the front after its n-th step, or wherever it is once it has no
+    paths.  The live paths are one array in block order, and each block
+    draws its own survivors' words from its own stream, so its count is
+    the one it would have alone.
+    """
+    if not kernel.sign_bits:
+        return [paths for _, paths in blocks]  # no tracked axis: no path dies
+    counts = [0] * len(blocks)
+    draws, live, pos, ends = [], [], [], []  # per block in flight
+    state = np.empty(0, dtype=np.int64)
+    admitted = t = 0
+    while True:
+        while admitted < len(blocks) and state.size < _ADMIT_BELOW:
+            idx, paths = blocks[admitted]
+            key = np.array([seed, idx], dtype=np.uint64)
+            draws.append(np.random.Philox(key=key).random_raw)
+            live.append(paths)
+            pos.append(admitted)
+            ends.append(t + n)
+            state = np.append(state, np.full(paths, kernel.start, np.int64))
+            admitted += 1
+        if not live:
+            return counts
+        words = (draws[0](live[0]) if len(live) == 1 else
+                 np.concatenate([d(c) for d, c in zip(draws, live)]))
+        state += _moves(kernel, words)
+        del words  # before the compress makes a second state
+        alive = (state & kernel.sign_bits) == 0
+        live = np.add.reduceat(alive, list(accumulate(live[:-1], initial=0)),
+                               dtype=np.intp).tolist()
+        state = state[alive]
+        t += 1
+        done = ends.count(t)  # the front blocks, admitted n steps ago
+        if done or 0 in live:
+            for j in range(done):
+                counts[pos[j]] = live[j]
+            state = state[sum(live[:done]):]
+            keep = [j for j in range(done, len(live)) if live[j]]
+            draws, live, pos, ends = ([a[j] for j in keep]
+                                      for a in (draws, live, pos, ends))
 
 
 def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
@@ -162,17 +249,18 @@ def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
     kernel = _kernel(sd, x, n, spec)
     blocks = list(enumerate(min(BLOCK_SIZE, reps - start)
                             for start in range(0, reps, BLOCK_SIZE)))
+    workers = max(1, min(workers, len(blocks)))
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def work(item):
-        idx, count = item
-        return _survival_count(kernel, n, count, seed, idx)
+    def work(share):
+        return sum(_block_counts(kernel, n, seed, share))
 
-    if workers <= 1:
-        counts = [work(it) for it in blocks]
+    if workers == 1:
+        hits = work(blocks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(work, blocks))
-    hits = sum(counts)
+            hits = sum(pool.map(work, shares))
     mean = hits / reps
     hw = 1.96 * math.sqrt(mean * (1.0 - mean) / reps)
     return McEstimate(mean=mean, half_width_95=hw, reps=reps, seed=seed)

@@ -25,10 +25,10 @@ cells, and callers stop stepping it: mass only ever leaves a killed walk.
 The kernels run tens of thousands of steps in a long run, so they keep
 their per-step Python work small.  ``_step_plan`` derives what a law's
 atoms mean for a measure (least shifts, cell offsets, the off-lattice
-check, the dense 1-D convolution kernel) once per (atoms, stride, ndim)
-and caches it; a chain looks its plan up once and hands it to every
-``_kill_step``.  There each atom's box is one contiguous run of the flat
-output, and a caller stepping one measure many times passes a
+check, the dense 1-D convolution kernel) once per (atoms, weight types,
+stride, ndim) and caches it; a chain looks its plan up once and hands it
+to every ``_kill_step``.  There each atom's box is one contiguous run of
+the flat output, and a caller stepping one measure many times passes a
 ``_Buffers`` that keeps the step's arrays, so no box is allocated per
 step.  ``_trim`` sums the four edge slabs of the box once and, after each
 peel, only the slabs that peel changed.  ``_line_steps`` runs its whole
@@ -595,7 +595,6 @@ def _trim(a: np.ndarray, lo: tuple, budget, stride: tuple, work: _Buffers):
     return out, lo, dropped
 
 
-@lru_cache(maxsize=64)
 def _step_plan(atoms: tuple, stride: tuple, nd: int):
     """How the kernels move a measure by ``atoms``, derived once per law.
 
@@ -605,8 +604,18 @@ def _step_plan(atoms: tuple, stride: tuple, nd: int):
     offset on each axis, and ``dense`` for nd = 1 the atoms summed into one
     read-only convolution kernel (else None).  A shift off its axis's class
     modulo the stride raises ``InputError``.  A chain derives its plan once
-    and passes it to every step.
+    and passes it to every step.  The cache is keyed on the weights' types
+    too: a ``Fraction`` weight hashes and compares equal to its float, and
+    a rational law must not get its float twin's plan.
     """
+    return _typed_step_plan(atoms, tuple(type(at[nd]) for at in atoms),
+                            stride, nd)
+
+
+@lru_cache(maxsize=64)
+def _typed_step_plan(atoms: tuple, weight_types: tuple, stride: tuple,
+                     nd: int):
+    """``_step_plan``'s cached body; ``weight_types`` only keys the cache."""
     shifts = list(zip(*atoms))[:nd]
     smin = tuple(min(c) for c in shifts)
     if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):

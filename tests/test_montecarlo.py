@@ -1,6 +1,8 @@
 """Monte Carlo determinism and statistical sanity."""
 
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +14,32 @@ from quadwalk.dp import ExitSpec, Region, survival_prob
 from quadwalk.errors import InputError
 from quadwalk.ladders import BoundaryConvention
 from quadwalk.montecarlo import (
+    _ADMIT_BELOW,
+    _BUCKET_SHIFT,
     BLOCK_SIZE,
     _atom_edges,
+    _block_counts,
+    _guide,
+    _Kernel,
     _kernel,
-    _survival_count,
+    _moves,
     simulate_survival,
 )
+from quadwalk.steps import load_steps
 
 from oracles import mc_block_sizes, mc_block_survivors, mc_estimate
 
 # after normalisation a weight this small rounds the partial sums before
 # it to 1.0 when it comes last in atom order
 TINY = (1e-17, 3e-17, 1e-300)
+
+# six weights near 1e-6 first in atom order put six edges inside the guide
+# table's first bucket, so the pick takes three halving steps there
+SPLIT_LAW = [((-2, k), w) for k, w in zip(range(-2, 4), (1e-6, 2e-6, 1.5e-6,
+                                                         1e-6, 3e-6, 1e-6))]
+SPLIT_LAW += [((-1, 1), 1.0), ((1, -1), 1.0), ((1, 1), 1.0)]
+
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +59,13 @@ def test_same_seed_bit_identical(tilted):
 
 
 def test_worker_count_invariance(tilted):
-    ref = simulate_survival(tilted, (1, 1), 50, 200_000, seed=99, workers=1)
-    for workers in (2, 3, 8):
-        est = simulate_survival(tilted, (1, 1), 50, 200_000, seed=99,
-                                workers=workers)
-        assert est.mean == ref.mean  # bit identical
+    # 13 blocks, and 3: five workers on three blocks leave two without any
+    for reps in (200_000, 2 * BLOCK_SIZE + 1):
+        ref = simulate_survival(tilted, (1, 1), 50, reps, seed=99, workers=1)
+        for workers in (2, 3, 5):
+            est = simulate_survival(tilted, (1, 1), 50, reps, seed=99,
+                                    workers=workers)
+            assert est == ref  # bit identical
 
 def test_different_seeds_differ(tilted):
     a = simulate_survival(tilted, (1, 1), 50, 100_000, seed=1)
@@ -157,6 +175,15 @@ def mc_laws(draw):
 @example(law=[((-1, 1), 1.0), ((1, -1), 1.0), ((1, 1), 1e-17)],
          region=Region.QUADRANT, conv=BoundaryConvention.KILL_ON_NONPOSITIVE,
          offset=(0, 0), n=40, reps=3 * BLOCK_SIZE, seed=2 ** 64 - 1)
+@example(law=SPLIT_LAW, region=Region.QUADRANT,
+         conv=BoundaryConvention.KILL_ON_NONPOSITIVE, offset=(3, 0), n=40,
+         reps=2 * BLOCK_SIZE, seed=5)
+@example(law=[((-1, 1), 1.0), ((1, -1), 2.0), ((1, 1), 1.0)],
+         region=Region.QUADRANT, conv=BoundaryConvention.KILL_ON_NEGATIVE,
+         offset=(0, 1), n=30, reps=2 * BLOCK_SIZE + 123, seed=8)
+@example(law=[((-1, 1), 1.0), ((1, -1), 2.0), ((1, 1), 1.0)],
+         region=Region.QUADRANT, conv=BoundaryConvention.KILL_ON_NONPOSITIVE,
+         offset=(0, 0), n=1, reps=BLOCK_SIZE + 9, seed=3)
 @settings(max_examples=30, deadline=None)
 def test_matches_float_oracle_bit_for_bit(law, region, conv, offset, n, reps,
                                           seed):
@@ -167,8 +194,7 @@ def test_matches_float_oracle_bit_for_bit(law, region, conv, offset, n, reps,
     counts = [mc_block_survivors(sd.atoms, spec.kill, x, n, c, seed, b)
               for b, c in enumerate(sizes)]
     kernel = _kernel(sd, x, n, spec)
-    assert [_survival_count(kernel, n, c, seed, b)
-            for b, c in enumerate(sizes)] == counts
+    assert _block_counts(kernel, n, seed, list(enumerate(sizes))) == counts
     est = simulate_survival(sd, x, n, reps, seed, spec=spec)
     assert (est.mean, est.half_width_95) == mc_estimate(counts, reps)
 
@@ -180,9 +206,20 @@ def test_uniform_is_top_53_bits_of_the_raw_word():
     assert [(int(w) >> 11) * 2.0 ** -53 for w in words] == u.tolist()
 
 
+def guide_pick(edges, words):
+    """Atoms ``_moves`` picks for words, by shifts that are atom indices."""
+    guide, passes, padded = _guide(edges)
+    atom = np.arange(edges.size + 1, dtype=np.int64)
+    kernel = _Kernel(guide=guide, moves=atom[guide], passes=passes,
+                     edges=padded, shift=atom, start=0, sign_bits=np.int64(0))
+    return _moves(kernel, np.array(words, dtype=np.uint64))
+
+
 @pytest.mark.parametrize("weights", [
     [0.1, 0.2, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 3], [1e-300, 0.5, 0.5 - 1e-300],
-    [1.0, 1e-17, 1e-17], [0.25, 0.25, 0.5], [0.7, 0.1, 0.1, 0.1]])
+    [1.0, 1e-17, 1e-17], [0.25, 0.25, 0.5], [0.7, 0.1, 0.1, 0.1],
+    [1e-6] * 6 + [1 - 6e-6], [0.5 - 4e-6] + [1e-6] * 8 + [0.5 - 4e-6],
+    [2.0 ** -12, 1e-6, 1e-6, 1e-6, 1 - 2.0 ** -12 - 3e-6]])
 def test_edges_pick_the_float_atom(weights):
     # the float rule at the words either side of every edge and at the top;
     # each edge is the first word that picks the next atom
@@ -200,6 +237,26 @@ def test_edges_pick_the_float_atom(weights):
     picks(2 ** 64 - 1)
     for t in edges.tolist():
         assert picks(t - 1) < picks(t)
+    # the guide table picks as searchsorted does at every edge, at either
+    # end of the words an edge's top 53 bits cover and about each bucket
+    # boundary
+    bounds = [b << _BUCKET_SHIFT for b in range(1, 1 << (64 - _BUCKET_SHIFT))]
+    words = [0, 1, 2 ** 64 - 1] + [t + d for t in edges.tolist()
+                                   for d in (-1, 0, 2 ** 11 - 1)]
+    words += [b + d for b in bounds for d in (-1, 0, 1)]
+    words = np.array(words, dtype=np.uint64)
+    assert guide_pick(edges, words).tolist() == \
+        edges.searchsorted(words, side="right").tolist()
+
+
+@pytest.mark.parametrize("law, passes", [
+    ("steps/tilted-singular.json", 0), ("perfbench/steps/wgrid.json", 0),
+    ("steps/index3.json", 0), ("steps/singular.json", 1),
+    ("steps/lazy-index2.json", 1), (SPLIT_LAW, 3)])
+def test_halving_steps_per_law(law, passes):
+    # dyadic edges each sit on a bucket boundary of the guide table
+    sd = load_steps(ROOT / law) if isinstance(law, str) else validate_steps(law)
+    assert _kernel(sd, (1, 1), 10, ExitSpec()).passes == passes
 
 
 def test_packed_state_bound(tilted):
@@ -222,8 +279,8 @@ def test_fields_stay_exact_up_to_the_bound(n, up):
     spec = ExitSpec()
     kernel = _kernel(sd, (1, 1), n, spec)
     for seed in range(3):
-        assert _survival_count(kernel, n, 5000, seed, 0) == \
-            mc_block_survivors(sd.atoms, spec.kill, (1, 1), n, 5000, seed, 0)
+        assert _block_counts(kernel, n, seed, [(0, 5000)]) == \
+            [mc_block_survivors(sd.atoms, spec.kill, (1, 1), n, 5000, seed, 0)]
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -236,3 +293,24 @@ def test_seed_outside_one_word_raises(tilted, seed):
 def test_seed_at_either_end_runs(tilted, seed):
     est = simulate_survival(tilted, (1, 1), 5, 100, seed=seed)
     assert est.seed == seed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_follows_the_admission_limit(tilted, workers):
+    # A worker admits its next block below BLOCK_SIZE / 4 live paths, so it
+    # holds fewer than 1.25 * BLOCK_SIZE, and at most three int64 arrays of
+    # them at once (state, words, moves); the guide tables and the rest take
+    # less than one more BLOCK_SIZE of int64 per worker.  Stepping all 64
+    # blocks of the run at once would not fit.
+    assert _ADMIT_BELOW == BLOCK_SIZE // 4
+    per_worker = 3 * 1.25 + 1  # int64 arrays of BLOCK_SIZE
+    simulate_survival(tilted, (1, 1), 100, 2 * BLOCK_SIZE, seed=3,
+                      workers=workers)  # first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_survival(tilted, (1, 1), 100, 2 ** 20, seed=3,
+                          workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= workers * per_worker * BLOCK_SIZE * 8

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -639,6 +640,19 @@ def test_kill_step_matches_atom_by_atom_reference(case, strided, reuse):
     outside = rest.copy()
     outside[box] = 0
     assert not np.any(outside != 0)  # the budget 0 peels exact zeros only
+
+
+def test_step_plan_keeps_a_rational_law_apart_from_its_float_twin():
+    # Fraction(1, 4) hashes and compares equal to 0.25, so a plan cached on
+    # the atoms alone would hand the rational law the float weights
+    floats = ((1, -1, 0.5), (1, 1, 0.25), (-1, 1, 0.25))
+    exact = tuple((dx, dy, Fraction(w)) for dx, dy, w in floats)
+    assert exact == floats
+    moves = _step_plan(floats, (1, 1), 2)[3]
+    assert [type(p) for p, *_ in moves] == [float] * 3
+    moves = _step_plan(exact, (1, 1), 2)[3]
+    assert [p for p, *_ in moves] == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    assert [type(p) for p, *_ in moves] == [Fraction] * 3
 
 
 def test_kill_step_refuses_shifts_off_the_stride():
