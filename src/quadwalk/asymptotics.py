@@ -299,7 +299,8 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     bracket is wider than ``W_TOL`` is used as it is, with a note.
     ``n_schedule`` must be nonempty, with every n positive.  ``llt-half``
     kills on x2 only, and its prediction is ``predict_llt`` with V(x2) in
-    place of W.
+    place of W.  A ``y2`` or ``y`` outside the theorem's region raises
+    ``InputError``; ``line`` and ``boundary-llt`` read H as ``pipe.h_eff``.
     """
     from . import dp as dpmod
     from .pipeline import W_TOL
@@ -342,6 +343,11 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
     half = theorem_id == "llt-half"
     spec = (dpmod.ExitSpec(region=dpmod.Region.UPPER_HALF_PLANE,
                            conv=pipe.spec.conv) if half else pipe.spec)
+    if theorem_id in ("line", "boundary-llt") and y2 < spec.threshold:
+        raise InputError(f"height y2={y2} is outside the survival region")
+    if (theorem_id in ("llt", "llt-half") and y is not None
+            and not spec.contains(y)):
+        raise InputError(f"y={tuple(y)} is outside the survival region")
     if half:
         W = pipe.v_eff(x[1])
     else:
@@ -366,14 +372,14 @@ def verify(theorem_id: str, pipe: "ConditionedWalkPipeline", x=(1, 1),
                 note(f"n={n}: height {y2} unreachable; skipped")
                 continue
             rows.append(_row(f"line(y2={y2})", n, m.line_sum(y2), predict_line(
-                n, pipe.lattice.d2, pipe.H(y2), W, pipe.consts), err))
+                n, pipe.lattice.d2, pipe.h_eff(y2), W, pipe.consts), err))
         elif theorem_id == "boundary-llt":
             yy = pipe.nearest_lattice_point(x, n, (n * mu[0], y2), fixed_y2=True)
             if yy is None:
                 note(f"n={n}: no lattice point at height {y2}; skipped")
                 continue
-            pred = predict_boundary_llt(yy, n, pipe.lattice.index, pipe.H(y2),
-                                        W, mu[0], gp, pipe.consts)
+            pred = predict_boundary_llt(yy, n, pipe.lattice.index,
+                                        pipe.h_eff(y2), W, mu[0], gp, pipe.consts)
             rows.append(_row(f"boundary-llt(y={yy[0]}:{yy[1]})", n,
                              m.local(yy), pred, err))
         else:  # llt and llt-half

@@ -11,8 +11,8 @@ mass landing outside the survival region is removed and accounted.
 The kernel lays the box out in rows of the grown box's width, so each atom
 adds one contiguous run of a flat array.  ``run_dp`` steps a run as one
 loop (``_step_to``) that carries the box, its lo, the leaked line and the
-killed, dropped and leaked mass from step to step, looks the law's step
-plan up once and builds a ``QuadrantMeasure`` only at the snapshots;
+killed, dropped and leaked mass from step to step, derives the law's
+step plans once and builds a ``QuadrantMeasure`` only at the snapshots;
 ``step_measure`` is one step of that loop.  The loop steps in one
 ``steps._Buffers``: the padded input, the output box and a scratch,
 grown geometrically and never freed between steps.  A run's box is thus
@@ -30,15 +30,17 @@ dropped_mass <= n * PRUNE_BUDGET.  The dynamics are linear and positive, so
 that mass bounds the error of every event probability, and
 ``error_bound()`` reports it.
 
-For quadrant runs with positive horizontal drift a truncation barrier L
-may be enabled: mass crossing x1 > L migrates to a one-dimensional
-vertical measure that keeps the vertical kill but drops the horizontal
-one.  The leaked measure lies on the same vertical coset.  It steps by
-``steps._line_steps``, its ends peeled from what the 2-D box left of the
-step's budget, and the spill joins it through the line kernel's own end
-walk, ``steps._peel_line``, with what the line step left.  No mass
-re-enters the box, so once every cell has crossed or been killed the box
-is empty, shape (0, 0), and only the line moves.
+A run whose region kills x1, on a law with positive horizontal drift,
+may enable a truncation barrier L; ``run_dp``'s ``barrier='auto'`` sizes
+one where both hold and runs exact elsewhere.  Mass crossing x1 > L
+migrates to a one-dimensional vertical measure that keeps the vertical
+kill but drops the horizontal one.  The leaked measure lies on the same
+vertical coset.  It steps by ``steps._line_steps``, its ends peeled from
+what the 2-D box left of the step's budget, and the spill joins it
+through the line kernel's own end walk, ``steps._peel_line``, with what
+the line step left.  No mass re-enters the box, so once every cell has
+crossed or been killed the box is empty, shape (0, 0), and only the line
+moves.
 The loop then steps the line as one ``_line_steps`` chain up to the next
 snapshot, each step with the whole budget, since an empty box peels
 nothing; once the line is empty too it goes straight to the next
@@ -336,9 +338,10 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
     the box is empty only the line moves: the rest of the steps are one
     ``_line_steps`` chain, each step with the whole budget.
     """
-    kill, L, line_atoms = m.spec.kill, m.barrier, sd.vertical_atoms
+    kill, L = m.spec.kill, m.barrier
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
     plan = _step_plan(sd.atoms, stride, 2)
+    line = None if L is None else _step_plan(sd.vertical_atoms, (d2,), 1)
     t, cells, lo1, lo2 = m.n, m.cells, m.lo1, m.lo2
     leaked, leak_lo, leaked_total = m.leaked, m.leak_lo, m.leaked_total
     killed, dropped = m.killed_mass, m.dropped_mass
@@ -358,7 +361,7 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
         # evolve any previously leaked mass (vertical kill only)
         if leaked.size:
             leaked, leak_lo, killed, dropped, budget = _line_steps(
-                leaked, leak_lo, line_atoms, kill[1], d2, 1, budget, killed, dropped)
+                leaked, leak_lo, line, kill[1], 1, budget, killed, dropped)
         # migrate mass beyond the barrier into the vertical-only measure
         if (L is not None and cells.size
                 and lo1 + d1 * (cells.shape[0] - 1) > L):
@@ -375,8 +378,7 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
             cells = cells[:keep, :] if keep else np.zeros((0, 0))
     if t < n and leaked.size:
         leaked, leak_lo, killed, dropped, _ = _line_steps(
-            leaked, leak_lo, line_atoms, kill[1], d2, n - t, PRUNE_BUDGET,
-            killed, dropped)
+            leaked, leak_lo, line, kill[1], n - t, PRUNE_BUDGET, killed, dropped)
     return QuadrantMeasure(
         n=n, cells=cells, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
         barrier=L, leaked=leaked, leak_lo=leak_lo, killed_mass=killed,
@@ -399,15 +401,17 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
 
     Stepping stops at the last snapshot.
 
-    ``barrier='auto'`` sizes the barrier by ``auto_barrier`` so the error
-    bound is below 1e-12; ``barrier=None`` keeps the exact joint measure,
-    and so does 'auto' on a law without positive horizontal drift, which
-    has no Chernoff rate to size a barrier by.  Each snapshot owns its
+    ``barrier=None`` keeps the exact joint measure.  ``barrier='auto'``
+    sizes one by ``auto_barrier``, error bound below 1e-12, where a barrier
+    can apply, and runs exact where none can: when ``spec`` does not kill
+    x1, or the law has no positive horizontal drift to size one by.  An
+    explicit barrier there raises ``InputError``.  Each snapshot owns its
     box and steps with fresh arrays.
     """
     if n_max < 0:
         raise InputError("n must be >= 0")
-    if barrier == "auto" and compute_moments(sd).mu1 <= 0:
+    if barrier == "auto" and (not spec.kills_x1
+                              or compute_moments(sd).mu1 <= 0):
         barrier = None
     gamma = math.inf
     L = None
@@ -437,8 +441,6 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
 def survival_prob(sd: StepDistribution, x, n: int, spec: ExitSpec,
                   barrier: int | str | None = "auto") -> tuple[float, float]:
     """(P(exit time > n), error bound)."""
-    if not spec.kills_x1:
-        barrier = None
     m = run_dp(sd, x, spec, n, snapshots={n}, barrier=barrier)[n]
     return m.survival(), m.error_bound()
 
@@ -459,7 +461,8 @@ def half_plane_survival(sd: StepDistribution, x2: int, n: int,
     if x2 < kill:
         raise InputError(f"start height {x2} is outside the region")
     atoms = sd.vertical_atoms
-    alive = _line_steps(np.ones(1), x2, atoms, kill, _stride(atoms)[0], n)[0]
+    alive = _line_steps(np.ones(1), x2, _step_plan(atoms, _stride(atoms), 1),
+                        kill, n)[0]
     return float(alive.sum())
 
 

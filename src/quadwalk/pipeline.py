@@ -128,6 +128,14 @@ class ConditionedWalkPipeline:
         """Renewal function paired with the walk killed by ``spec``."""
         return self.V(u - self.v_shift)
 
+    def h_eff(self, y2: int) -> float:
+        """H at the end height y2 of the walk killed by ``spec``.
+
+        H is harmonic for the reversed walk killed on <= 0; height y2 of
+        the walk ``spec`` kills below t is height y2 + 1 - t of that one.
+        """
+        return self.H(y2 + 1 - self.spec.threshold)
+
     def v_eff_vector(self, max_height: int) -> np.ndarray:
         """v_eff at heights 0..max_height: the weight table of ``w_rect``."""
         values = self._ensure_V(max_height).values[:max_height + 1 - self.v_shift]

@@ -25,16 +25,15 @@ cells, and callers stop stepping it: mass only ever leaves a killed walk.
 The kernels run tens of thousands of steps in a long run, so they keep
 their per-step Python work small.  ``_step_plan`` derives what a law's
 atoms mean for a measure (least shifts, cell offsets, the off-lattice
-check, the dense 1-D convolution kernel) once per (atoms, weight types,
-stride, ndim) and caches it; a chain looks its plan up once and hands it
-to every ``_kill_step``.  There each atom's box is one contiguous run of
-the flat output, and a caller stepping one measure many times passes a
-``_Buffers`` that keeps the step's arrays, so no box is allocated per
-step.  ``_trim`` sums the four edge slabs of the box once and, after each
-peel, only the slabs that peel changed.  ``_line_steps`` runs its whole
-chain in one call: a step is one ``np.convolve``, a kill slice and a
-``_peel_line`` walk inward from the two ends, and no measure object is
-built per step.
+check, the dense 1-D convolution kernel); a chain derives its plan once
+and hands it to every step.  In ``_kill_step`` each atom's box is one
+contiguous run of the flat output, and a caller stepping one measure many
+times passes a ``_Buffers`` that keeps the step's arrays, so no box is
+allocated per step.  ``_trim`` sums the four edge slabs of the box once
+and, after each peel, only the slabs that peel changed.  ``_line_steps``
+runs its whole chain in one call: a step is one ``np.convolve``, a kill
+slice and a ``_peel_line`` walk inward from the two ends, and no measure
+object is built per step.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -604,18 +603,8 @@ def _step_plan(atoms: tuple, stride: tuple, nd: int):
     offset on each axis, and ``dense`` for nd = 1 the atoms summed into one
     read-only convolution kernel (else None).  A shift off its axis's class
     modulo the stride raises ``InputError``.  A chain derives its plan once
-    and passes it to every step.  The cache is keyed on the weights' types
-    too: a ``Fraction`` weight hashes and compares equal to its float, and
-    a rational law must not get its float twin's plan.
+    and passes it to every step.
     """
-    return _typed_step_plan(atoms, tuple(type(at[nd]) for at in atoms),
-                            stride, nd)
-
-
-@lru_cache(maxsize=64)
-def _typed_step_plan(atoms: tuple, weight_types: tuple, stride: tuple,
-                     nd: int):
-    """``_step_plan``'s cached body; ``weight_types`` only keys the cache."""
     shifts = list(zip(*atoms))[:nd]
     smin = tuple(min(c) for c in shifts)
     if any((s - s0) % d for c, s0, d in zip(shifts, smin, stride) for s in c):
@@ -730,13 +719,14 @@ def _peel_line(a: np.ndarray, lo: int, d: int, budget):
     return a[i0:i1], lo + d * i0, drop
 
 
-def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
+def _line_steps(a: np.ndarray, lo: int, plan: tuple, kill: int | None,
                 steps: int, budget=0.0, killed=0.0, dropped=0.0):
     """``steps`` steps of a walk on a line killed below ``kill``.
 
     ``a`` is a nonempty float64 measure with ``a[i]`` at lo + d*i,
-    ``atoms`` a tuple of (shift, p) pairs in one class modulo d, and
-    ``kill`` the lowest surviving coordinate, or None.  A step is one
+    ``plan`` the ``_step_plan(atoms, (d,), 1)`` of (shift, p) ``atoms`` in
+    one class modulo d, and ``kill`` the lowest surviving coordinate, or
+    None.  A step is one
     ``np.convolve`` with the law's dense kernel; the mass below ``kill``
     is added to ``killed``, and then ``_peel_line`` peels the ends within
     ``budget`` and the mass it peeled is added to ``dropped``.  Every step
@@ -749,7 +739,7 @@ def _line_steps(a: np.ndarray, lo: int, atoms: tuple, kill: int | None, d: int,
     last step left, and ``a`` (shape (0,) once nothing survives) may be a
     view of a convolution output.
     """
-    _, (smin,), _, _, dense = _step_plan(atoms, (d,), 1)
+    (d,), (smin,), _, _, dense = plan
     cap = MAX_CELLS - len(dense) + 1  # longest line a step may convolve
     left = budget
     for _ in range(steps):

@@ -25,6 +25,7 @@ from quadwalk.asymptotics import (
     verify,
 )
 from quadwalk.errors import InputError
+from quadwalk.ladders import BoundaryConvention
 from quadwalk.pipeline import ConditionedWalkPipeline
 
 from oracles import reflected_product_kernel
@@ -277,3 +278,30 @@ class TestVerifyHarness:
         rows = verify("line", pipe, n_schedule=(64, 128))
         for r in rows:
             assert r.ratio == pytest.approx(1.0, abs=0.05)
+
+
+def _w_free(row, pipe, w):
+    """A row's prediction over W, and over q at its point for boundary-llt."""
+    c = row.predicted / w.value
+    if row.theorem_id.startswith("boundary-llt"):
+        y1 = int(row.theorem_id.split("=")[1].split(":")[0])
+        z1 = (y1 - row.n * pipe.moments.mu1) / math.sqrt(row.n)
+        c /= q_density(z1, pipe.gauss, pipe.consts)
+    return c
+
+
+@pytest.mark.parametrize("theorem", ["line", "boundary-llt"])
+@pytest.mark.parametrize("y2", [1, 2])
+def test_negative_convention_is_the_default_one_step_up(pipe, theorem, y2):
+    # the walk killed on negative values from x at height y2 is the walk
+    # killed on nonpositive ones from x + (1, 1) at y2 + 1: the same mass,
+    # and the same prediction up to W, so H must be read one step up too
+    neg = ConditionedWalkPipeline.build(pipe.sd,
+                                        BoundaryConvention.KILL_ON_NEGATIVE)
+    (a,) = verify(theorem, neg, x=(1, 1), n_schedule=(256, 257), y2=y2)
+    (b,) = verify(theorem, pipe, x=(2, 2), n_schedule=(256, 257), y2=y2 + 1)
+    assert a.n == b.n
+    assert abs(a.measured - b.measured) <= a.dp_error_bound + b.dp_error_bound
+    wa, wb = neg.w((1, 1)), pipe.w((2, 2))
+    assert max(wa.lower, wb.lower) <= min(wa.upper, wb.upper)
+    assert _w_free(a, neg, wa) == pytest.approx(_w_free(b, pipe, wb), rel=1e-12)

@@ -401,6 +401,51 @@ def test_dp_survive_auto_is_exact_without_horizontal_drift(capsys, tmp_path):
     assert "positive horizontal drift" in err
 
 
+def test_dp_survive_refuses_a_barrier_without_a_horizontal_kill(capsys, tilted_file):
+    # the upper half-plane never kills x1, so 'auto' runs exact and an
+    # explicit barrier is an input error
+    argv = ["--steps", tilted_file, "dp", "survive", "--x", "1,1", "--n", "20",
+            "--region", "upper-half"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].endswith(",0.0")
+    code, out, err = run_cli(capsys, "--barrier", "5", *argv)
+    assert (code, out) == (3, "")
+    assert "horizontal kill" in err
+
+
+@pytest.mark.parametrize("conv, where", [
+    ("nonpositive", ("line", "--y2", "0")),
+    ("nonpositive", ("line", "--y2", "-3")),
+    ("nonpositive", ("boundary-llt", "--y2", "0")),
+    ("nonpositive", ("llt", "--y", "32,0")),
+    ("nonpositive", ("llt-half", "--y", "32,0")),
+    ("negative", ("line", "--y2", "-1")),
+    ("negative", ("boundary-llt", "--y2", "-1")),
+    ("negative", ("llt", "--y", "32,-2")),
+    ("negative", ("llt", "--y=-1,1")),
+])
+def test_verify_refuses_points_outside_the_region(capsys, tilted_file, conv, where):
+    code, out, err = run_cli(capsys, "--steps", tilted_file, "--convention", conv,
+                             "verify", *where, "--n-schedule", "64")
+    assert (code, out) == (3, "")
+    assert "outside the survival region" in err
+
+
+@pytest.mark.parametrize("conv, where", [
+    ("negative", ("line", "--y2", "0")),
+    ("negative", ("boundary-llt", "--y2", "0")),
+    ("negative", ("llt", "--y", "32,0")),
+    ("nonpositive", ("llt-half", "--y", "0,40")),
+])
+def test_verify_reads_points_on_the_region_edge(capsys, tilted_file, conv, where):
+    # height 0 survives the negative convention; the half-plane kills no x1
+    code, out, _ = run_cli(capsys, "--steps", tilted_file, "--convention", conv,
+                           "verify", *where, "--n-schedule", "65")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("steps, argv, msg", [
     # vertical values {-2, 0, 2}: the ladder solver refuses a law on 2Z
     ([(1, 2), (1, -2), (-1, 0)], ("ladders", "--dir", "down"), "2Z"),

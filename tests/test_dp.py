@@ -169,6 +169,19 @@ class TestBarrier:
         with pytest.raises(BarrierError):
             survival_prob(sd, (4, 1), 5, QUAD, barrier=2)
 
+    @pytest.mark.parametrize("conv", list(BoundaryConvention))
+    def test_auto_is_exact_where_x1_is_never_killed(self, conv):
+        # no barrier can apply when the region does not kill x1: 'auto'
+        # runs the exact DP, as it does on a law without horizontal drift
+        sd, spec = tilted_singular(), ExitSpec(Region.UPPER_HALF_PLANE, conv)
+        a = run_dp(sd, (1, 1), spec, 200, barrier="auto")[200]
+        b = run_dp(sd, (1, 1), spec, 200, barrier=None)[200]
+        assert a.barrier is None and a.cells.tobytes() == b.cells.tobytes()
+        assert (a.cells.shape, a.lo1, a.lo2) == (b.cells.shape, b.lo1, b.lo2)
+        assert (a.survival(), a.error_bound()) == (b.survival(), b.error_bound())
+        with pytest.raises(InputError, match="horizontal kill"):
+            run_dp(sd, (1, 1), spec, 200, barrier=5)
+
     def test_vertical_marginal_matches_exact(self):
         sd = tilted_singular()
         snaps_b = run_dp(sd, (1, 1), QUAD, 128, barrier="auto")[128]

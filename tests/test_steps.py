@@ -500,7 +500,7 @@ def test_line_steps_match_convolve_and_slab_peel(cells, law, d, lo, kill, steps,
     atoms = tuple(sorted((d * s, p) for s, p in law))
     a = np.array(cells)
     budget = data.draw(st.one_of(st.just(0.0), st.floats(0.0, float(a.sum()))))
-    got = _line_steps(a, lo, atoms, kill, d, steps, budget, 0.5, 0.25)
+    got = _line_steps(a, lo, _step_plan(atoms, (d,), 1), kill, steps, budget, 0.5, 0.25)
     # the reference: one np.convolve, the kill slice and the generic slab
     # peel per step, sums added one by one
     killed, dropped, left = 0.5, 0.25, budget
@@ -519,12 +519,13 @@ def test_line_steps_refuse_a_convolution_above_the_cap(monkeypatch):
     atoms = ((-1, 0.25), (0, 0.5), (1, 0.25))  # the line grows 2 cells a step
     a = np.full(4, 0.25)
     monkeypatch.setattr(steps, "MAX_CELLS", 8)
-    got = _line_steps(a, 0, atoms, None, 1, 2)  # convolves 6 and 8 cells
+    plan = _step_plan(atoms, (1,), 1)
+    got = _line_steps(a, 0, plan, None, 2)  # convolves 6 and 8 cells
     assert len(got[0]) == 8
     with pytest.raises(InputError, match="a line step of 10 entries"):
-        _line_steps(a, 0, atoms, None, 1, 3)
+        _line_steps(a, 0, plan, None, 3)
     with pytest.raises(InputError, match="a line step of 10 entries"):
-        _line_steps(np.full(8, 0.125), 0, atoms, None, 1, 1)
+        _line_steps(np.full(8, 0.125), 0, plan, None, 1)
 
 
 box_cells = st.one_of(st.just(0.0), st.floats(0.0, 1.0),
