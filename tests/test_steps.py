@@ -500,7 +500,8 @@ def test_line_steps_match_convolve_and_slab_peel(cells, law, d, lo, kill, steps,
     atoms = tuple(sorted((d * s, p) for s, p in law))
     a = np.array(cells)
     budget = data.draw(st.one_of(st.just(0.0), st.floats(0.0, float(a.sum()))))
-    got = _line_steps(a, lo, _step_plan(atoms, (d,), 1), kill, steps, budget, 0.5, 0.25)
+    plan = _step_plan(atoms, (d,), 1)
+    got = _line_steps(a, lo, plan, kill, steps, budget, 0.5, 0.25)
     # the reference: one np.convolve, the kill slice and the generic slab
     # peel per step, sums added one by one
     killed, dropped, left = 0.5, 0.25, budget
