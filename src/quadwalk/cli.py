@@ -310,9 +310,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         table = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         if exc.partial is not None:

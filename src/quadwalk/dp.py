@@ -48,7 +48,9 @@ snapshot.  On the tilted law from (1, 1) the box is empty
 from n = 540 on, so this is most of a long tail run.  The barrier error
 is bounded by the leaked mass times the Chernoff bound exp(-gamma (L+1))
 on the walk ever returning, gamma the positive root of
-E[exp(-gamma X1)] = 1; ``error_bound()`` adds it to the dropped mass.
+E[exp(-gamma X1)] = 1, which a measure's first step takes from the law,
+as it takes the strides; ``error_bound()`` adds the bound to the dropped
+mass.
 
 The half-plane survival runs the line kernel on the vertical marginal, and
 exact path counts run the 2-D kernel on an object array of Python integers
@@ -174,17 +176,16 @@ class QuadrantMeasure:
     killed_mass: float = 0.0
     dropped_mass: float = 0.0
     leaked_total: float = 0.0
-    gamma: float = math.inf  # Chernoff rate for the barrier bound
+    gamma: float = math.inf  # barrier bound's Chernoff rate: the first step sets it
 
     @classmethod
-    def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None,
-                   gamma: float = math.inf):
-        """Unit mass at x; its first ``step_measure`` sets the law's stride."""
+    def point_mass(cls, x, spec: ExitSpec, barrier: int | None = None):
+        """Unit mass at x; its first step sets the law's stride and rate."""
         x1, x2 = int(x[0]), int(x[1])
         if not spec.contains(x):
             raise InputError(f"start {x} is not inside the survival region")
         return cls(n=0, cells=np.ones((1, 1)), lo1=x1, lo2=x2, spec=spec,
-                   barrier=barrier, gamma=gamma)
+                   barrier=barrier)
 
     @property
     def weights(self) -> np.ndarray:
@@ -316,9 +317,9 @@ def auto_barrier(sd: StepDistribution, x, target: float = 1e-12) -> int:
 def step_measure(m: QuadrantMeasure, sd: StepDistribution) -> QuadrantMeasure:
     """One convolution-and-kill step; returns a fresh measure.
 
-    The point mass at n = 0 takes the stride of ``sd``; every later
-    measure keeps its own, which must be that of the same law.  This is
-    one step of the loop ``run_dp`` steps a run by, on fresh arrays.
+    The point mass at n = 0 takes the stride of ``sd`` and, with a barrier,
+    its rate gamma; every later measure keeps its own, of the same law.
+    This is one step of the loop ``run_dp`` steps a run by, on fresh arrays.
     """
     if m.barrier is not None and m.barrier < sd.max_abs_dx:
         raise BarrierError(
@@ -340,6 +341,7 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
     """
     kill, L = m.spec.kill, m.barrier
     d1, d2 = stride = _stride(sd.atoms) if m.n == 0 else m.stride
+    gamma = chernoff_gamma(sd) if m.n == 0 and L is not None else m.gamma
     plan = _step_plan(sd.atoms, stride, 2)
     line = None if L is None else _step_plan(sd.vertical_atoms, (d2,), 1)
     t, cells, lo1, lo2 = m.n, m.cells, m.lo1, m.lo2
@@ -382,7 +384,7 @@ def _step_to(m: QuadrantMeasure, sd: StepDistribution, n: int,
     return QuadrantMeasure(
         n=n, cells=cells, lo1=lo1, lo2=lo2, spec=m.spec, stride=stride,
         barrier=L, leaked=leaked, leak_lo=leak_lo, killed_mass=killed,
-        dropped_mass=dropped, leaked_total=leaked_total, gamma=m.gamma)
+        dropped_mass=dropped, leaked_total=leaked_total, gamma=gamma)
 
 
 def _owned(a: np.ndarray) -> np.ndarray:
@@ -405,30 +407,30 @@ def run_dp(sd: StepDistribution, x, spec: ExitSpec, n_max: int,
     sizes one by ``auto_barrier``, error bound below 1e-12, where a barrier
     can apply, and runs exact where none can: when ``spec`` does not kill
     x1, or the law has no positive horizontal drift to size one by.  An
-    explicit barrier there raises ``InputError``.  Each snapshot owns its
-    box and steps with fresh arrays.
+    explicit barrier there raises ``InputError``, and so does a snapshot
+    time outside [0, n_max].  Each snapshot owns its box and steps with
+    fresh arrays.
     """
     if n_max < 0:
         raise InputError("n must be >= 0")
-    if barrier == "auto" and (not spec.kills_x1
-                              or compute_moments(sd).mu1 <= 0):
-        barrier = None
-    gamma = math.inf
+    want = set(snapshots) if snapshots else {n_max}
+    if outside := sorted(t for t in want if not 0 <= t <= n_max):
+        raise InputError(f"snapshot times {outside} are outside [0, {n_max}]")
     L = None
-    if barrier is not None:
-        if not spec.kills_x1:
-            raise InputError("a barrier only makes sense with a horizontal kill")
-        gamma = chernoff_gamma(sd)
+    if barrier is not None and spec.kills_x1 and compute_moments(sd).mu1 > 0:
         L = auto_barrier(sd, x) if barrier == "auto" else int(barrier)
         if L < sd.max_abs_dx:
             raise BarrierError(f"barrier {L} smaller than max |dx|")
-    m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=gamma)
-    want = set(snapshots) if snapshots else {n_max}
+    elif barrier not in (None, "auto"):  # refused before any step, so at n_max = 0 too
+        raise InputError("a barrier only makes sense with a horizontal kill"
+                         if not spec.kills_x1 else
+                         "Chernoff barrier rate needs positive horizontal drift")
+    m = QuadrantMeasure.point_mass(x, spec, barrier=L)
     out: dict[int, QuadrantMeasure] = {}
     if 0 in want:
         out[0] = m
     work = _Buffers(mapped=True)
-    stops = sorted(t for t in want if 0 < t <= n_max)
+    stops = sorted(t for t in want if t > 0)
     for stop in stops:
         m = _step_to(m, sd, stop, work)
         # the next step overwrites the buffers; the last box is kept

@@ -244,8 +244,6 @@ def simulate_survival(sd: StepDistribution, x, n: int, reps: int, seed: int,
     spec = spec or ExitSpec()
     if not spec.contains(x):
         raise InputError(f"start {x} is not inside the survival region")
-    if n == 0:
-        return McEstimate(mean=1.0, half_width_95=0.0, reps=reps, seed=seed)
     kernel = _kernel(sd, x, n, spec)
     blocks = list(enumerate(min(BLOCK_SIZE, reps - start)
                             for start in range(0, reps, BLOCK_SIZE)))

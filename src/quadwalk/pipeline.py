@@ -147,21 +147,21 @@ class ConditionedWalkPipeline:
         """Estimate at x, cached by (point, tol).
 
         A miss runs one ``w_rect`` pass over x's barrier block: the starts
-        whose ``auto_barrier`` is x's L, which are the columns
-        [t, L - max|dx|] when L is the law's own barrier and x1 alone when x1
-        sets it, at heights t .. 2 x2; the pass asks ``v_eff_vector`` for the
-        heights it reads.  The horizon comes from x, and a start is cached when
-        the pass reaches the end of its own reading, which holds at least
-        for each start whose own a-priori horizon is at most x's.  Each
-        estimate cached equals the one a query at its own point would
-        compute, ``history`` included.
+        whose ``auto_barrier`` is x's L, at heights t .. 2 x2.  L is
+        max(the law's own L, max|dx|, x1 + max|dx|): when L > x1 + max|dx|
+        it is the law's own and the block is the columns [t, L - max|dx|],
+        else it is x1 + max|dx| and the block is the column x1 alone.  The
+        pass asks ``v_eff_vector`` for the heights it reads.  The horizon
+        comes from x, and a start is cached when the pass reaches the end of
+        its own reading, which holds at least for each start whose own
+        a-priori horizon is at most x's.  Each estimate cached equals the one
+        a query at its own point would compute, ``history`` included.
         """
         x = (int(x[0]), int(x[1]))
         if (x, tol) not in self._w_cache:
             L = auto_barrier(self.sd, x, BARRIER_TARGET)
             t = self.spec.threshold
-            own = auto_barrier(self.sd, (t, x[1]), BARRIER_TARGET) == L
-            first = t if own else x[0]
+            first = t if L > x[0] + self.sd.max_abs_dx else x[0]
             block = w_rect(self.sd, x, self.spec, self.v_eff_vector,
                            self._tail_bound, tol, N_MAX, L, (first, 2 * x[1]))
             self._w_cache.update(((y, tol), est) for y, est in block.items())

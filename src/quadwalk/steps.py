@@ -236,11 +236,9 @@ def validate_steps(raw) -> StepDistribution:
         raise InputError("total weight overflows a float")
     if total <= 0:
         raise ZeroTotalWeightError("total weight is zero")
-    atoms = tuple(
-        (dx, dy, w / total) for (dx, dy), w in sorted(merged.items()) if w > 0
-    )
-    if not atoms:
-        raise ZeroTotalWeightError("total weight is zero")
+    # the largest weight is at least 1/k of the total, so some step stays
+    atoms = tuple((dx, dy, p) for (dx, dy), w in sorted(merged.items())
+                  if (p := w / total) > 0)
     return StepDistribution(atoms=atoms)
 
 

@@ -314,6 +314,13 @@ def test_usage_error_exit_2(capsys, steps_file):
     assert code == 2
 
 
+def test_point_of_one_coordinate_exit_2(capsys, steps_file):
+    code, out, err = run_cli(capsys, "--steps", steps_file, "dp", "survive",
+                             "--x", "1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "argument --x: expected 'a,b', got '1'" in err
+
+
 @pytest.mark.parametrize("schedule", ["--n-schedule=0,16", "--n-schedule=-4,16"])
 def test_verify_nonpositive_n_exit_3(capsys, tilted_file, schedule):
     code, out, err = run_cli(capsys, "--steps", tilted_file, "verify", "tail",

@@ -91,6 +91,36 @@ def test_counts_match_enumeration(sd, region, conv, n, data):
         assert got == sum(c for (_, b), c in counts.items() if b == y2)
 
 
+SWAPPED = {Region.QUADRANT: Region.QUADRANT,
+           Region.UPPER_HALF_PLANE: Region.RIGHT_HALF_PLANE,
+           Region.RIGHT_HALF_PLANE: Region.UPPER_HALF_PLANE}
+
+
+@given(small_laws(), st.sampled_from(list(Region)),
+       st.sampled_from(list(BoundaryConvention)), st.sampled_from([(1, 2), (2, 1)]),
+       st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_exact_counts_keep_the_axis_swap(sd, region, conv, x, n):
+    # swapping x1 and x2 in the atoms, the start, the end and the region maps
+    # the paths of one count one to one onto those of the other
+    swapped = validate_steps([((dy, dx), p) for dx, dy, p in sd.atoms])
+    spec, mirror = ExitSpec(region, conv), ExitSpec(SWAPPED[region], conv)
+    counts, (lo1, lo2), (d1, d2) = _count_run(sd, x, n, spec)
+    back, (b1, _), (e1, _) = _count_run(swapped, x[::-1], n, mirror)
+    live = list(zip(*counts.nonzero()))
+    ends = {(lo1 + d1 * i, lo2 + d2 * j) for i, j in live[:2] + live[-2:]}
+    for y in ends | {(x[0] + 1, x[1])}:
+        got = count_paths(sd, x, y, n, spec)
+        assert type(got) is int
+        assert got == count_paths(swapped, x[::-1], y[::-1], n, mirror)
+    t = spec.threshold
+    for y2 in range(t, t + 4):
+        i = (y2 - b1) // e1
+        row = back[i].sum() if (y2 - b1) % e1 == 0 and 0 <= i < back.shape[0] else 0
+        got = count_line(sd, x, n, y2=y2, spec=spec)
+        assert type(got) is int and got == row
+
+
 def test_counts_match_dict_counter_past_float_precision():
     sd = singular_steps()
     n = 64
@@ -361,9 +391,11 @@ def test_run_buffers_match_fresh_steps(sd, region, conv, barrier, n, data):
     assert set(ms) == snaps
     mu = compute_moments(sd).mu
     # the oracle's chain from the point mass, with fresh arrays at every
-    # step; step_measure from a snapshot must land on its next measure
-    m = QuadrantMeasure.point_mass(x, spec, barrier=ms[0].barrier,
-                                   gamma=ms[0].gamma)
+    # step; step_measure from a snapshot must land on its next measure.
+    # walk_step never sees the law's rate, so the chain takes it here
+    m = QuadrantMeasure.point_mass(x, spec, barrier=ms[0].barrier)
+    if m.barrier is not None:
+        m = replace(m, gamma=dp.chernoff_gamma(sd))
     for k in range(n + 1):
         if k:
             m = _oracle_step(m, sd)
@@ -422,7 +454,9 @@ def _check_line_chain(sd, spec, x, barrier, extra=()):
     measures, one per step.
     """
     L = dp.auto_barrier(sd, x) if barrier == "auto" else barrier
-    m = QuadrantMeasure.point_mass(x, spec, barrier=L, gamma=dp.chernoff_gamma(sd))
+    # walk_step never sees the law's rate, so the chain takes it here
+    m = replace(QuadrantMeasure.point_mass(x, spec, barrier=L),
+                gamma=dp.chernoff_gamma(sd))
     ms, n_max = [m], LINE_CHAIN_CAP
     while len(ms) <= n_max:
         m = _oracle_step(m, sd)

@@ -164,6 +164,30 @@ class TestBarrier:
         p2, _ = survival_prob(sd, (1, 1), 300, QUAD, barrier=2 * L)
         assert abs(p1 - p2) <= err1
 
+    def test_point_mass_takes_the_rate_from_its_law(self):
+        # the public step_measure from a barrier point mass bounds its
+        # barrier error as run_dp's run does: the first step sets gamma
+        sd = tilted_singular()
+        m = QuadrantMeasure.point_mass((1, 1), QUAD, barrier=6)
+        for _ in range(200):
+            m = step_measure(m, sd)
+        exact = run_dp(sd, (1, 1), QUAD, 200, barrier=None)[200]
+        assert m.leaked_total > 0
+        assert abs(m.survival() - exact.survival()) <= m.error_bound()
+        run = run_dp(sd, (1, 1), QUAD, 200, barrier=6)[200]
+        assert m.gamma.hex() == run.gamma.hex() == chernoff_gamma(sd).hex()
+        assert m.error_bound().hex() == run.error_bound().hex()
+
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_barrier_refused_without_horizontal_drift(self, n):
+        # refused before the first step, which would take the rate, so at
+        # n = 0 too; 'auto' runs exact there
+        sd = validate_steps([((1, 1), 1.0), ((1, -1), 1.0), ((-1, 1), 1.0),
+                             ((-1, -1), 1.0)])
+        with pytest.raises(InputError, match="positive horizontal drift"):
+            run_dp(sd, (1, 1), QUAD, n, barrier=5)
+        assert run_dp(sd, (1, 1), QUAD, n, barrier="auto")[n].barrier is None
+
     def test_barrier_too_small_rejected(self):
         sd = validate_steps([((3, -1), 1.0), ((-3, 1), 1.0), ((3, 1), 1.0)])
         with pytest.raises(BarrierError):
@@ -215,6 +239,13 @@ class TestBookkeeping:
         assert 0.0 < m.dropped_mass <= n * PRUNE_BUDGET
         total = m.alive_mass() + m.leaked.sum() + m.killed_mass + m.dropped_mass
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_snapshot_times_outside_the_run_rejected(self):
+        sd = tilted_singular()
+        with pytest.raises(InputError) as info:
+            run_dp(sd, (1, 1), QUAD, 100, snapshots={50, 200, -3})
+        assert str(info.value) == "snapshot times [-3, 200] are outside [0, 100]"
+        assert set(run_dp(sd, (1, 1), QUAD, 100, snapshots={0, 50, 100})) == {0, 50, 100}
 
     def test_window_masses_sum_to_survival(self):
         sd = tilted_singular()

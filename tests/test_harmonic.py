@@ -99,11 +99,13 @@ class TestSeries:
     def test_grid_read_upward_takes_few_passes(self, monkeypatch, seed):
         # one pass fills x's barrier block up to height 2 x2, so a column
         # read from the bottom up misses at heights 1, 3 and 7, and the
-        # other columns come filled
-        calls = []
-        real = pipeline.w_rect
+        # other columns come filled; each miss sizes its barrier once
+        calls, barriers = [], []
+        real, real_barrier = pipeline.w_rect, pipeline.auto_barrier
         monkeypatch.setattr(pipeline, "w_rect",
                             lambda *a: calls.append(a[1]) or real(*a))
+        monkeypatch.setattr(pipeline, "auto_barrier",
+                            lambda *a: barriers.append(a[1]) or real_barrier(*a))
         p = ConditionedWalkPipeline.build(load_steps(TILTED))
         cols = list(range(8, 0, -1))
         if seed is not None:
@@ -112,6 +114,7 @@ class TestSeries:
             for x2 in range(1, 9):
                 p.w((x1, x2))
         assert len(calls) <= 8
+        assert barriers == calls
 
     def test_pass_stops_where_every_first_step_kills(self, monkeypatch):
         # every first step from (1, 1) leaves the quadrant, so W(1, 1) = 0

@@ -28,6 +28,7 @@ from quadwalk.errors import (
     ZeroTotalWeightError,
 )
 from quadwalk import steps
+from quadwalk.dp import chernoff_gamma
 from quadwalk.steps import (TILT_TOL, _Buffers, _kill_step, _line_steps, _peel_line,
                              _step_plan, _trim)
 
@@ -99,6 +100,21 @@ class TestValidateSteps:
         # merged into one inf, or summed past the largest float by fsum
         with pytest.raises(InputError, match="overflows"):
             validate_steps([((0, 1), 1e308), (second, 1e308)])
+
+    def test_step_whose_weight_normalises_to_zero_dropped(self):
+        # 1e-300 of a total 2e300 divides to 0.0: that step is not in the
+        # law, so the support is (1, +-1) alone, which lies on one line
+        sd = validate_steps([((1, 1), 1e300), ((1, -1), 1e300), ((0, 0), 1e-300)])
+        assert sd.atoms == ((1, -1, 0.5), (1, 1, 0.5))
+        with pytest.raises(DegenerateSupportError, match="one line"):
+            lattice_decompose(sd)
+
+    def test_left_step_whose_weight_normalises_to_zero_dropped(self):
+        # without its left step the walk never moves left: no return, rate inf
+        sd = validate_steps([((1, 0), 1e300), ((-1, 0), 1e-300), ((0, 1), 1e300),
+                             ((0, -1), 1e300)])
+        assert [(dx, dy) for dx, dy, _ in sd.atoms] == [(0, -1), (0, 1), (1, 0)]
+        assert chernoff_gamma(sd) == math.inf
 
     def test_integral_increments_of_any_int_or_float_type(self):
         # 1.0 is the integer 1; numpy ints and floats are ints and weights
